@@ -4,7 +4,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"JPMDCKP1"
-//!      8     2  format version (LE), currently 1
+//!      8     2  format version (LE), currently 2
 //!     10     8  payload length in bytes (LE); u64::MAX = unsealed poison
 //!     18     4  CRC-32 of the payload (LE)
 //!     22    38  reserved, zero
@@ -38,8 +38,11 @@ use crate::error::CkptError;
 
 /// The eight magic bytes opening every `.jck` file.
 pub const MAGIC: [u8; 8] = *b"JPMDCKP1";
-/// The format version this build reads and writes.
-pub const VERSION: u16 = 1;
+/// The format version this build reads and writes. Version 2 carries the
+/// memory snapshot with the stack profiler as its recency order and the
+/// disk cache as its built frames only; version 1 files (the profiler's
+/// slot table and every installed frame) are refused.
+pub const VERSION: u16 = 2;
 /// Fixed header size, bytes.
 pub const HEADER_BYTES: usize = 64;
 /// The `payload_len` a header carries while its file is still being
@@ -199,6 +202,22 @@ mod tests {
         fs::write(&path, &bytes).expect("rewrite");
         match read_jck(&path) {
             Err(CkptError::UnsupportedVersion { found: 7 }) => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn version_one_files_are_refused_as_unsupported() {
+        let path = tmp_path("v1");
+        write_jck(&path, &sample()).expect("write");
+        let mut bytes = fs::read(&path).expect("read");
+        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+        let crc = crc32(&bytes[..HEADER_BYTES - 4]);
+        bytes[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).expect("rewrite");
+        match read_jck(&path) {
+            Err(CkptError::UnsupportedVersion { found: 1 }) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
         fs::remove_file(&path).ok();

@@ -180,6 +180,11 @@ impl PeriodController for PlannedController {
         "planned"
     }
 
+    /// The plan was fixed before the run; the log has nothing to add.
+    fn reads_access_log(&self) -> bool {
+        false
+    }
+
     fn snapshot_state(&self) -> serde::Value {
         serde::Value::Object(vec![("period".to_string(), serde::Value::U64(self.period))])
     }

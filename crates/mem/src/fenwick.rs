@@ -1,7 +1,7 @@
 /// A Fenwick (binary-indexed) tree over `u32` counts, used by the
 /// stack-distance profiler to count "still most-recent" access slots in a
 /// time range in O(log n).
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Fenwick {
     tree: Vec<u32>,
 }
@@ -17,6 +17,24 @@ impl Fenwick {
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.tree.len() - 1
+    }
+
+    /// Resets to `n` slots whose first `ones` positions hold 1 and the
+    /// rest 0, in O(n) and reusing the allocation: node `i` (1-based)
+    /// covers positions `i - lowbit(i) + 1 ..= i`, so it counts the ones
+    /// among them directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ones > n`.
+    pub fn reset_prefix_ones(&mut self, n: usize, ones: usize) {
+        assert!(ones <= n, "more ones than slots");
+        self.tree.clear();
+        self.tree.push(0);
+        self.tree.extend((1..=n).map(|i| {
+            let lo = i - (i & i.wrapping_neg());
+            ones.min(i).saturating_sub(lo) as u32
+        }));
     }
 
     /// Adds `delta` at 0-based position `i`.
@@ -43,15 +61,6 @@ impl Fenwick {
         }
         s
     }
-
-    /// Sum over the 0-based inclusive range `lo..=hi`; 0 when `lo > hi`.
-    pub fn range_sum(&self, lo: usize, hi: usize) -> u64 {
-        if lo > hi {
-            return 0;
-        }
-        let below = if lo == 0 { 0 } else { self.prefix_sum(lo - 1) };
-        self.prefix_sum(hi) - below
-    }
 }
 
 #[cfg(test)]
@@ -68,8 +77,7 @@ mod tests {
         assert_eq!(f.prefix_sum(0), 1);
         assert_eq!(f.prefix_sum(3), 3);
         assert_eq!(f.prefix_sum(7), 8);
-        assert_eq!(f.range_sum(1, 6), 2);
-        assert_eq!(f.range_sum(4, 3), 0);
+        assert_eq!(f.prefix_sum(6) - f.prefix_sum(0), 2);
     }
 
     #[test]
@@ -78,6 +86,21 @@ mod tests {
         f.add(2, 1);
         f.add(2, -1);
         assert_eq!(f.prefix_sum(3), 0);
+    }
+
+    #[test]
+    fn reset_prefix_ones_matches_adds() {
+        for n in [1usize, 2, 7, 8, 33] {
+            for ones in 0..=n {
+                let mut built = Fenwick::new(3);
+                built.reset_prefix_ones(n, ones);
+                let mut added = Fenwick::new(n);
+                for i in 0..ones {
+                    added.add(i, 1);
+                }
+                assert_eq!(built.tree, added.tree, "n {n} ones {ones}");
+            }
+        }
     }
 
     proptest! {

@@ -108,7 +108,9 @@ impl Ord for Expiry {
 /// 1. lazy expiry of `DisableAfter` banks whose timeout passed (their
 ///    cached pages are invalidated — future re-reads become disk accesses,
 ///    the defining cost of the DS methods),
-/// 2. stack-distance profiling into the current [`AccessLog`],
+/// 2. stack-distance profiling into the current [`AccessLog`] — only when
+///    enabled with [`MemoryManager::set_profiling`], since only a policy
+///    that predicts from the log needs it,
 /// 3. the LRU cache lookup/fill,
 /// 4. bank energy accounting for the page transfer.
 ///
@@ -134,6 +136,8 @@ pub struct MemoryManager {
     config: MemConfig,
     cache: DiskCache,
     banks: BankArray,
+    /// Whether accesses are profiled into `log` (off by default).
+    profiling: bool,
     profiler: StackProfiler,
     log: AccessLog,
     ds_heap: BinaryHeap<Expiry>,
@@ -173,6 +177,7 @@ impl MemoryManager {
             config,
             cache,
             banks,
+            profiling: false,
             profiler: StackProfiler::new(),
             log: AccessLog::new(),
             ds_heap: BinaryHeap::new(),
@@ -197,6 +202,20 @@ impl MemoryManager {
     /// energy (read + write) and do **not** revive the draining bank.
     pub fn set_consolidation(&mut self, on: bool) {
         self.consolidate = on;
+    }
+
+    /// Turns stack-distance profiling on or off. Off (the default) the
+    /// per-period [`AccessLog`] stays empty and accesses skip the
+    /// profiler entirely; turn it on before the first access when a
+    /// controller predicts from the log, since the profiler only knows the
+    /// history it has observed.
+    pub fn set_profiling(&mut self, on: bool) {
+        self.profiling = on;
+    }
+
+    /// Whether accesses are being profiled.
+    pub fn profiling(&self) -> bool {
+        self.profiling
     }
 
     /// Pages migrated by consolidation so far.
@@ -286,8 +305,10 @@ impl MemoryManager {
     /// the disk as writes.
     pub fn access_rw(&mut self, page: u64, now: f64, write: bool) -> bool {
         self.sweep_disabled(now);
-        let distance = self.profiler.observe(page);
-        self.log.record(now, page, distance);
+        if self.profiling {
+            let distance = self.profiler.observe(page);
+            self.log.record(now, page, distance);
+        }
         let outcome = self.cache.access(page);
         if write {
             self.cache.mark_dirty(outcome.frame);
@@ -409,6 +430,16 @@ impl MemoryManager {
     /// paper ("the joint method does not reset the LRU list every period").
     pub fn take_log(&mut self) -> AccessLog {
         std::mem::take(&mut self.log)
+    }
+
+    /// Hands a log taken with [`MemoryManager::take_log`] back once it has
+    /// been read, so the next period records into its allocation instead of
+    /// growing a fresh one. Entries recorded since the take are kept.
+    pub fn recycle_log(&mut self, mut log: AccessLog) {
+        if self.log.is_empty() && log.capacity() > self.log.capacity() {
+            log.clear();
+            self.log = log;
+        }
     }
 
     /// Read-only view of the current period's access log.
@@ -553,6 +584,7 @@ mod tests {
     #[test]
     fn take_log_resets_but_profiler_persists() {
         let mut m = MemoryManager::new(config(IdlePolicy::Nap));
+        m.set_profiling(true);
         m.access(1, 0.0);
         let log = m.take_log();
         assert_eq!(log.len(), 1);

@@ -21,6 +21,8 @@
 //! ATTACH <tenant> [pages] -> OK attached <tenant> pages <n> acked <seq> | ERR ...
 //! FEED <tenant> <seq> <time> <file> <page> <n> <r|w>   (async ACK <seq> lines)
 //! FEED <tenant> <time> <file> <page> <n> <r|w>         (no response, legacy)
+//!   (either form answers ERR feed page range out of bounds ... when
+//!    page + n overflows or exceeds the tenant's page space)
 //! PING                    -> OK pong queued <backlog>
 //! QUERY <tenant> timeout|banks|misscurve|energy|status|acked -> OK ...
 //! STATS                   -> OK tenants <n> queued <n> shedding <0|1> ...

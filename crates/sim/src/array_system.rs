@@ -75,6 +75,13 @@ pub trait ArrayPeriodController {
     fn name(&self) -> &str {
         "static-array"
     }
+
+    /// Whether [`ArrayPeriodController::on_period_end`] reads its
+    /// [`AccessLog`]; accesses are profiled only when it does (see
+    /// [`PeriodController::reads_access_log`](crate::PeriodController::reads_access_log)).
+    fn reads_access_log(&self) -> bool {
+        true
+    }
 }
 
 /// An array controller that never changes anything.
@@ -84,6 +91,10 @@ pub struct NullArrayController;
 impl ArrayPeriodController for NullArrayController {
     fn on_period_end(&mut self, _: &ArrayPeriodObservation, _: &AccessLog) -> ArrayControlAction {
         ArrayControlAction::default()
+    }
+
+    fn reads_access_log(&self) -> bool {
+        false
     }
 }
 
@@ -125,6 +136,7 @@ pub fn run_array_simulation(
     let mut mem = MemoryManager::new(config.mem);
     mem.set_replacement(config.replacement);
     mem.set_consolidation(config.consolidate);
+    mem.set_profiling(controller.reads_access_log());
     let mut array = DiskArray::new(
         n,
         config.disk_power,
@@ -215,6 +227,7 @@ pub fn run_array_simulation(
                 };
                 let log = mem.take_log();
                 let action = controller.on_period_end(&observation, &log);
+                mem.recycle_log(log);
                 if let Some(banks) = action.enabled_banks {
                     mem.set_enabled_banks(banks, boundary);
                 }

@@ -84,6 +84,16 @@ pub trait PeriodController {
         "static"
     }
 
+    /// Whether [`PeriodController::on_period_end`] reads its
+    /// [`AccessLog`]. The simulator profiles every page access into that
+    /// log (the paper's extended LRU list) only for controllers that say
+    /// yes; a controller that ignores the log returns `false` and its runs
+    /// skip the profiler entirely. The default is `true`, so a controller
+    /// that does not answer always gets a complete log.
+    fn reads_access_log(&self) -> bool {
+        true
+    }
+
     /// The controller's internal state (learned models, period counters)
     /// as a serializable value, captured into checkpoints. The default
     /// ([`serde::Value::Null`]) is correct for stateless controllers such
@@ -117,6 +127,10 @@ impl<C: PeriodController + ?Sized> PeriodController for &mut C {
         (**self).name()
     }
 
+    fn reads_access_log(&self) -> bool {
+        (**self).reads_access_log()
+    }
+
     fn snapshot_state(&self) -> serde::Value {
         (**self).snapshot_state()
     }
@@ -137,6 +151,10 @@ impl<C: PeriodController + ?Sized> PeriodController for Box<C> {
         (**self).name()
     }
 
+    fn reads_access_log(&self) -> bool {
+        (**self).reads_access_log()
+    }
+
     fn snapshot_state(&self) -> serde::Value {
         (**self).snapshot_state()
     }
@@ -153,6 +171,10 @@ pub struct NullController;
 impl PeriodController for NullController {
     fn on_period_end(&mut self, _: &PeriodObservation, _: &AccessLog) -> ControlAction {
         ControlAction::default()
+    }
+
+    fn reads_access_log(&self) -> bool {
+        false
     }
 }
 
@@ -200,6 +222,10 @@ impl<C: PeriodController> PeriodController for TimedController<C> {
 
     fn name(&self) -> &str {
         self.inner.name()
+    }
+
+    fn reads_access_log(&self) -> bool {
+        self.inner.reads_access_log()
     }
 
     fn snapshot_state(&self) -> serde::Value {
@@ -253,5 +279,6 @@ mod tests {
         assert_eq!(action, ControlAction::default());
         assert!(action.enabled_banks.is_none());
         assert!(action.disk_timeout.is_none());
+        assert!(!NullController.reads_access_log());
     }
 }

@@ -41,6 +41,9 @@ pub fn run_simulation_legacy(
     let mut mem = MemoryManager::new(config.mem);
     mem.set_replacement(config.replacement);
     mem.set_consolidation(config.consolidate);
+    // The reference loop profiles every access, whatever the controller
+    // reads, so engine runs that skip profiling are checked against it.
+    mem.set_profiling(true);
     let mut disk = Disk::new(
         config.disk_power,
         config.disk_service,
