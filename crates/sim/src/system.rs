@@ -360,6 +360,12 @@ pub fn run_simulation_full<S: TraceSource>(
         let _finalize = spans.time_with("report.finalize", telemetry);
         (energy.finalize(&hw, window), latency.finalize())
     };
+    // Callers keep reports by the hundred: release the run's working
+    // memory first, then copy the kept vectors to exact size, so they pack
+    // together instead of pinning the heap between the next run's buffers.
+    drop(hw);
+    let mut engine_stats = run.stats;
+    engine_stats.period_log = engine_stats.period_log.to_vec();
     let report = RunReport {
         label: label.to_string(),
         duration_secs: window,
@@ -375,8 +381,8 @@ pub fn run_simulation_full<S: TraceSource>(
         long_latency_count: lat.long_latency_count,
         utilization: traffic.utilization,
         spin_downs: traffic.spin_downs,
-        periods: periods.into_rows(),
-        engine: run.stats,
+        periods: periods.into_rows().to_vec(),
+        engine: engine_stats,
         spans: spans.snapshot(),
     };
     telemetry.emit_with(|| ObsEvent::RunEnd {
