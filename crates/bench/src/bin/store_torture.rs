@@ -4,13 +4,14 @@
 //! Drives three seeded phases through [`jpmd_faults::FaultyStorage`] and
 //! verifies the recovery invariants the fault seam promises:
 //!
-//! 1. **Journaled store** — commits `--commits` deterministic
-//!    transactions (the `trace_tool db-torture` page conventions, so
-//!    `trace_tool db-verify <db> <commits>` cross-checks the survivor)
-//!    under a storm of ENOSPC/EIO/short-write/fsync faults, reopening
-//!    after every failure. Invariant: every recovery lands on an
-//!    **exact commit prefix** — the counter page names commit `m` with
-//!    `acked <= m <= attempted` and every data page matches `m`.
+//! 1. **Trace store** — seals `--commits` deterministic `.jpt` traces
+//!    (`create_on` -> `write_record` x N -> `finish_durable`) under a
+//!    storm of ENOSPC/EIO/short-write/fsync faults, retrying every
+//!    failed attempt. Invariant: an attempt succeeds or fails with a
+//!    typed `StoreError`, and a faultless `TraceReader` over the file
+//!    it leaves yields **exactly the N records or a typed error** —
+//!    never a wrong record; a sealed attempt always yields all N
+//!    (`trace_tool verify <dir>/torture.jpt` cross-checks the last).
 //! 2. **Telemetry WAL** — emits through a total outage window, rides
 //!    the in-memory ring, drains on recovery, then resumes the file and
 //!    keeps emitting. Invariant: the final WAL is seq-gap-free with
@@ -35,156 +36,105 @@ use jpmd_core::SimScale;
 use jpmd_faults::{FaultyStorage, IoFaultMonitor, IoFaultPlan, SharedBackend};
 use jpmd_obs::{JsonlSink, ObsEvent, ObsRecord, Sink, Telemetry, WalPolicy};
 use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint, SimOutcome};
-use jpmd_store::{journal_path, PagedFile};
-use jpmd_trace::{WorkloadBuilder, MIB};
+use jpmd_store::{StoreError, TraceReader, TraceWriter};
+use jpmd_trace::{AccessKind, FileId, TraceRecord, WorkloadBuilder, MIB};
 
-/// Page geometry mirrors `trace_tool db-torture` exactly, so its
-/// `db-verify` subcommand can cross-check phase 1's survivor.
-const DB_PAGE: u32 = 256;
-const DB_DATA_PAGES: u64 = 16;
+/// Records per sealed trace: a handful of 4 KiB data pages, so every
+/// attempt crosses several page flushes the storm can tear.
+const TRACE_RECORDS: u64 = 600;
+const TRACE_TOTAL_PAGES: u64 = 4096;
 
-fn db_fill(c: u64) -> u8 {
-    (c % 249 + 1) as u8
+/// Record `i` of the trace commit `c` writes; strictly increasing
+/// times, so a duplicated page can never decode as valid.
+fn trace_record(c: u64, i: u64) -> TraceRecord {
+    TraceRecord {
+        time: i as f64 * 0.5,
+        file: FileId((i % 7) as u32),
+        first_page: (i * 37 + c) % (TRACE_TOTAL_PAGES - 4),
+        pages: 1 + i % 3,
+        kind: if (i + c).is_multiple_of(4) {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        },
+    }
 }
 
-fn db_image(b: u8) -> Vec<u8> {
-    vec![b; DB_PAGE as usize]
+/// `create_on` -> `write_record` x N -> `finish_durable` through the
+/// faulted backend. Every failure is a typed [`StoreError`].
+fn write_trace_on(backend: &SharedBackend, path: &Path, c: u64) -> Result<(), StoreError> {
+    let mut writer = TraceWriter::create_on(backend.clone(), path, 4096, TRACE_TOTAL_PAGES)?;
+    for i in 0..TRACE_RECORDS {
+        writer.write_record(&trace_record(c, i))?;
+    }
+    writer.finish_durable()
 }
 
-/// The exact page state `m` durable commits must leave behind
-/// (`db-verify`'s expectation, inlined).
-fn verify_prefix(db: &mut PagedFile, m: u64) -> Result<(), String> {
-    if m == 0 {
-        return Ok(());
-    }
-    let counter = db
-        .read_page(0)
-        .map_err(|e| format!("counter page unreadable at prefix {m}: {e}"))?;
-    if counter != db_image(db_fill(m)) {
-        return Err(format!(
-            "counter page holds {:#04x}, expected {:#04x} for commit {m}",
-            counter[0],
-            db_fill(m)
-        ));
-    }
-    for p in 1..=m.min(DB_DATA_PAGES) {
-        let last = p + DB_DATA_PAGES * ((m - p) / DB_DATA_PAGES);
-        let got = db
-            .read_page(p)
-            .map_err(|e| format!("page {p} unreadable at prefix {m}: {e}"))?;
-        if got != db_image(db_fill(last)) {
-            return Err(format!(
-                "page {p} holds {:#04x}, expected {:#04x} (commit {last})",
-                got[0],
-                db_fill(last)
-            ));
+/// Reads whatever file an attempt left behind, faultless. It must yield
+/// commit `c`'s records in order and then either end after exactly
+/// [`TRACE_RECORDS`] or stop at a typed error; a sealed attempt must
+/// yield all of them.
+fn verify_leftover(path: &Path, c: u64, sealed: bool) -> Result<(), String> {
+    let reader = match TraceReader::open(path) {
+        Ok(reader) => reader,
+        Err(_) if !sealed => return Ok(()),
+        Err(e) => return Err(format!("sealed trace {c} does not reopen: {e}")),
+    };
+    let mut read = 0u64;
+    for record in reader {
+        match record {
+            Ok(record) if read < TRACE_RECORDS && record == trace_record(c, read) => read += 1,
+            Ok(_) => return Err(format!("trace {c} returned a wrong record #{read}")),
+            Err(_) if !sealed => return Ok(()),
+            Err(e) => return Err(format!("sealed trace {c} fails at record #{read}: {e}")),
         }
+    }
+    if read != TRACE_RECORDS {
+        return Err(format!(
+            "trace {c} ended cleanly after {read} of {TRACE_RECORDS} records"
+        ));
     }
     Ok(())
 }
 
-/// Reads the adopted commit count back out of a recovered store. The
-/// caller knows recovery must land on `m` or `m + 1`; the fill byte
-/// distinguishes the two exactly.
-fn recovered_count(db: &mut PagedFile, acked: u64, attempted: u64) -> Result<u64, String> {
-    let byte = match db.read_page(0) {
-        Ok(img) => img[0],
-        Err(_) => return Ok(0), // no commit ever became durable
-    };
-    for candidate in [attempted, acked] {
-        if candidate > 0 && byte == db_fill(candidate) {
-            return Ok(candidate);
-        }
-    }
-    Err(format!(
-        "counter byte {byte:#04x} matches neither acked commit {acked} \
-         ({:#04x}) nor attempted commit {attempted} ({:#04x})",
-        db_fill(acked),
-        db_fill(attempted)
-    ))
-}
-
-fn reopen(backend: &SharedBackend, path: &Path) -> Result<PagedFile, String> {
-    for _ in 0..100 {
-        if let Ok(db) = PagedFile::open_on(backend.clone(), path, 8) {
-            return Ok(db);
-        }
-    }
-    PagedFile::open(path, 8).map_err(|e| format!("store unopenable even faultless: {e}"))
-}
-
-/// Phase 1: the journaled store either completes or recovers to an
-/// exact commit prefix, `--commits` times over.
+/// Phase 1: the trace writer seals `--commits` traces through the plan;
+/// every failed attempt leaves a file that reads back as the whole
+/// trace or a typed error, never a wrong record.
 fn torture_store(
     dir: &Path,
     commits: u64,
     plan: IoFaultPlan,
-) -> Result<(PathBuf, u64, IoFaultMonitor), String> {
-    let path = dir.join("torture.jdb");
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(journal_path(&path));
+) -> Result<(u64, IoFaultMonitor), String> {
+    let path = dir.join("torture.jpt");
     let storage = FaultyStorage::new(plan);
     let monitor = storage.monitor();
     let backend = SharedBackend::from(storage);
 
-    let mut db = None;
-    for _ in 0..100 {
-        if let Ok(created) = PagedFile::create_on(backend.clone(), &path, DB_PAGE, 8) {
-            db = Some(created);
-            break;
-        }
-    }
-    let mut db = db.ok_or("store creation never landed inside the retry budget")?;
-
-    let mut m = 0u64;
     let mut attempts = 0u64;
     let mut recoveries = 0u64;
-    while m < commits {
-        attempts += 1;
-        if attempts > 100 * commits {
-            return Err(format!(
-                "workload stuck: {m}/{commits} after {attempts} attempts"
-            ));
-        }
-        let next = m + 1;
-        let fill = db_image(db_fill(next));
-        let staged = db
-            .write_page(0, &fill)
-            .and_then(|()| db.write_page((next - 1) % DB_DATA_PAGES + 1, &fill))
-            .and_then(|()| db.commit())
-            .and_then(|seq| {
-                if next.is_multiple_of(5) {
-                    db.checkpoint().map(|()| seq)
-                } else {
-                    Ok(seq)
-                }
-            });
-        match staged {
-            Ok(_) => m = next,
-            Err(_) => {
-                // A typed failure is a crash: reopen, and the survivor
-                // must be an exact prefix in [m, next].
-                recoveries += 1;
-                drop(db);
-                db = reopen(&backend, &path)?;
-                let recovered = recovered_count(&mut db, m, next)?;
-                verify_prefix(&mut db, recovered)?;
-                m = recovered;
+    for c in 1..=commits {
+        loop {
+            attempts += 1;
+            if attempts > 100 * commits {
+                return Err(format!(
+                    "workload stuck: {}/{commits} after {attempts} attempts",
+                    c - 1
+                ));
             }
+            let sealed = write_trace_on(&backend, &path, c).is_ok();
+            verify_leftover(&path, c, sealed)?;
+            if sealed {
+                break;
+            }
+            recoveries += 1;
         }
     }
-    drop(db);
-
-    // Final faultless verify — exactly what `trace_tool db-verify` does.
-    let mut clean =
-        PagedFile::open(&path, 8).map_err(|e| format!("final faultless open failed: {e}"))?;
-    verify_prefix(&mut clean, commits)?;
     println!(
-        "store: {commits} commits durable over {attempts} attempts, \
+        "store: {commits} traces sealed over {attempts} attempts, \
          {recoveries} recoveries, {} faults injected",
         monitor.injected().total()
     );
-    Ok((path, recoveries, monitor))
+    Ok((recoveries, monitor))
 }
 
 /// Phase 2: the WAL degrades to its ring through an outage, drains on
@@ -434,7 +384,7 @@ fn run(args: &[String]) -> Result<(), String> {
     } else {
         IoFaultPlan::disabled()
     };
-    let (db_path, recoveries, monitor) = torture_store(&dir, commits, plan)?;
+    let (recoveries, monitor) = torture_store(&dir, commits, plan)?;
     if faulted && monitor.injected().total() == 0 {
         return Err("storm plan injected nothing into the store phase".into());
     }
@@ -445,9 +395,9 @@ fn run(args: &[String]) -> Result<(), String> {
     torture_ckpt(&dir, seed, faulted)?;
     println!(
         "PASS store_torture (seed {seed}, io-faults {}): cross-check with \
-         `trace_tool db-verify {} {commits}`",
+         `trace_tool verify {}`",
         u8::from(faulted),
-        db_path.display()
+        dir.join("torture.jpt").display()
     );
     Ok(())
 }

@@ -84,113 +84,7 @@ const NONE_IDX: u32 = u32::MAX;
 ///
 /// Panics if `candidates` is not sorted ascending.
 pub fn predict_sizes(log: &AccessLog, candidates: &[u64], window: f64) -> Vec<SizePrediction> {
-    assert!(
-        candidates.windows(2).all(|w| w[0] <= w[1]),
-        "candidates must be sorted ascending"
-    );
-    let entries = log.entries();
-    let n = entries.len();
-
-    // Doubly-linked list over the full access sequence (capacity 0: every
-    // access is a miss).
-    let mut prev: Vec<u32> = (0..n as u32).map(|i| i.wrapping_sub(1)).collect();
-    let mut next: Vec<u32> = (1..=n as u32).collect();
-    if n > 0 {
-        prev[0] = NONE_IDX;
-        next[n - 1] = NONE_IDX;
-    }
-
-    // Initial gap statistics at capacity 0.
-    let mut nd = n as u64;
-    let mut ni = 0u64;
-    let mut total = 0.0f64;
-    for pair in entries.windows(2) {
-        let g = pair[1].time - pair[0].time;
-        if g > window {
-            ni += 1;
-            total += g;
-        }
-    }
-
-    // Accesses ordered by the capacity at which they become hits.
-    let mut order: Vec<(u64, u32)> = entries
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| match e.distance {
-            StackDistance::Position(p) => Some((p, i as u32)),
-            StackDistance::Cold => None,
-        })
-        .collect();
-    order.sort_unstable();
-
-    let mut head: u32 = if n > 0 { 0 } else { NONE_IDX };
-    let mut tail: u32 = if n > 0 { n as u32 - 1 } else { NONE_IDX };
-    let remove = |i: u32,
-                  prev: &mut [u32],
-                  next: &mut [u32],
-                  ni: &mut u64,
-                  total: &mut f64,
-                  head: &mut u32,
-                  tail: &mut u32| {
-        let (l, r) = (prev[i as usize], next[i as usize]);
-        if *head == i {
-            *head = r;
-        }
-        if *tail == i {
-            *tail = l;
-        }
-        let t_i = entries[i as usize].time;
-        if l != NONE_IDX {
-            let g = t_i - entries[l as usize].time;
-            if g > window {
-                *ni -= 1;
-                *total -= g;
-            }
-            next[l as usize] = r;
-        }
-        if r != NONE_IDX {
-            let g = entries[r as usize].time - t_i;
-            if g > window {
-                *ni -= 1;
-                *total -= g;
-            }
-            prev[r as usize] = l;
-        }
-        if l != NONE_IDX && r != NONE_IDX {
-            let g = entries[r as usize].time - entries[l as usize].time;
-            if g > window {
-                *ni += 1;
-                *total += g;
-            }
-        }
-    };
-
-    let mut out = Vec::with_capacity(candidates.len());
-    let mut cursor = 0usize;
-    for &cap in candidates {
-        while cursor < order.len() && order[cursor].0 <= cap {
-            remove(
-                order[cursor].1,
-                &mut prev,
-                &mut next,
-                &mut ni,
-                &mut total,
-                &mut head,
-                &mut tail,
-            );
-            nd -= 1;
-            cursor += 1;
-        }
-        out.push(SizePrediction {
-            capacity_pages: cap,
-            disk_accesses: nd,
-            idle_count: ni,
-            idle_total_secs: total.max(0.0),
-            first_miss_secs: (head != NONE_IDX).then(|| entries[head as usize].time),
-            last_miss_secs: (tail != NONE_IDX).then(|| entries[tail as usize].time),
-        });
-    }
-    out
+    predict_streams(log, candidates, window, |_| 0, 1)
 }
 
 /// Predicts disk accesses and idle structure at each candidate capacity,
@@ -212,6 +106,51 @@ pub fn predict_sizes_routed<F: Fn(u64) -> usize>(
     route: F,
     n_routes: usize,
 ) -> Vec<Vec<SizePrediction>> {
+    predict_streams(log, candidates, window, route, n_routes)
+        .chunks(n_routes)
+        .map(<[SizePrediction]>::to_vec)
+        .collect()
+}
+
+/// One route's predicted miss stream: the ends of its linked list over
+/// the log, its length, and its gaps longer than the window.
+#[derive(Clone, Copy)]
+struct MissStream {
+    head: u32,
+    tail: u32,
+    misses: u64,
+    idle_count: u64,
+    idle_total: f64,
+}
+
+impl MissStream {
+    fn add_gap(&mut self, gap: f64, window: f64) {
+        if gap > window {
+            self.idle_count += 1;
+            self.idle_total += gap;
+        }
+    }
+
+    fn remove_gap(&mut self, gap: f64, window: f64) {
+        if gap > window {
+            self.idle_count -= 1;
+            self.idle_total -= gap;
+        }
+    }
+}
+
+/// The one reconstruction behind both predictors: every access starts as
+/// a miss on its route's linked list; candidates are visited in ascending
+/// order and each access whose stack distance the growth covers is
+/// unlinked, merging its two neighboring gaps (Fig. 4). The result is
+/// candidate-major with stride `n_routes`.
+fn predict_streams<F: Fn(u64) -> usize>(
+    log: &AccessLog,
+    candidates: &[u64],
+    window: f64,
+    route: F,
+    n_routes: usize,
+) -> Vec<SizePrediction> {
     assert!(
         candidates.windows(2).all(|w| w[0] <= w[1]),
         "candidates must be sorted ascending"
@@ -219,43 +158,36 @@ pub fn predict_sizes_routed<F: Fn(u64) -> usize>(
     assert!(n_routes > 0, "need at least one route");
     let entries = log.entries();
     let n = entries.len();
+    let time = |i: u32| entries[i as usize].time;
 
-    // Per-entry route, plus per-route doubly-linked chains.
-    let routes: Vec<usize> = entries
-        .iter()
-        .map(|e| {
-            let r = route(e.page);
-            assert!(r < n_routes, "route index out of range");
-            r
-        })
-        .collect();
+    // Capacity 0: every access is a miss, chained per route.
     let mut prev: Vec<u32> = vec![NONE_IDX; n];
     let mut next: Vec<u32> = vec![NONE_IDX; n];
-    let mut last_of_route: Vec<u32> = vec![NONE_IDX; n_routes];
-    let mut head: Vec<u32> = vec![NONE_IDX; n_routes];
-    let mut tail: Vec<u32> = vec![NONE_IDX; n_routes];
-    let mut nd = vec![0u64; n_routes];
-    let mut ni = vec![0u64; n_routes];
-    let mut total = vec![0.0f64; n_routes];
+    let empty = MissStream {
+        head: NONE_IDX,
+        tail: NONE_IDX,
+        misses: 0,
+        idle_count: 0,
+        idle_total: 0.0,
+    };
+    let mut streams = vec![empty; n_routes];
     for (i, e) in entries.iter().enumerate() {
-        let r = routes[i];
-        let l = last_of_route[r];
+        let r = route(e.page);
+        assert!(r < n_routes, "route index out of range");
+        let stream = &mut streams[r];
+        let l = stream.tail;
         prev[i] = l;
-        if l != NONE_IDX {
-            next[l as usize] = i as u32;
-            let g = e.time - entries[l as usize].time;
-            if g > window {
-                ni[r] += 1;
-                total[r] += g;
-            }
+        if l == NONE_IDX {
+            stream.head = i as u32;
         } else {
-            head[r] = i as u32;
+            next[l as usize] = i as u32;
+            stream.add_gap(e.time - time(l), window);
         }
-        last_of_route[r] = i as u32;
-        tail[r] = i as u32;
-        nd[r] += 1;
+        stream.tail = i as u32;
+        stream.misses += 1;
     }
 
+    // Accesses ordered by the capacity at which they become hits.
     let mut order: Vec<(u64, u32)> = entries
         .iter()
         .enumerate()
@@ -266,58 +198,41 @@ pub fn predict_sizes_routed<F: Fn(u64) -> usize>(
         .collect();
     order.sort_unstable();
 
-    let mut out = Vec::with_capacity(candidates.len());
+    let mut out = Vec::with_capacity(candidates.len() * n_routes);
     let mut cursor = 0usize;
     for &cap in candidates {
         while cursor < order.len() && order[cursor].0 <= cap {
             let i = order[cursor].1;
-            let r = routes[i as usize];
-            let (l, rr) = (prev[i as usize], next[i as usize]);
-            if head[r] == i {
-                head[r] = rr;
+            let stream = &mut streams[route(entries[i as usize].page)];
+            let (l, r) = (prev[i as usize], next[i as usize]);
+            if stream.head == i {
+                stream.head = r;
             }
-            if tail[r] == i {
-                tail[r] = l;
+            if stream.tail == i {
+                stream.tail = l;
             }
-            let t_i = entries[i as usize].time;
             if l != NONE_IDX {
-                let g = t_i - entries[l as usize].time;
-                if g > window {
-                    ni[r] -= 1;
-                    total[r] -= g;
-                }
-                next[l as usize] = rr;
+                stream.remove_gap(time(i) - time(l), window);
+                next[l as usize] = r;
             }
-            if rr != NONE_IDX {
-                let g = entries[rr as usize].time - t_i;
-                if g > window {
-                    ni[r] -= 1;
-                    total[r] -= g;
-                }
-                prev[rr as usize] = l;
+            if r != NONE_IDX {
+                stream.remove_gap(time(r) - time(i), window);
+                prev[r as usize] = l;
             }
-            if l != NONE_IDX && rr != NONE_IDX {
-                let g = entries[rr as usize].time - entries[l as usize].time;
-                if g > window {
-                    ni[r] += 1;
-                    total[r] += g;
-                }
+            if l != NONE_IDX && r != NONE_IDX {
+                stream.add_gap(time(r) - time(l), window);
             }
-            nd[r] -= 1;
+            stream.misses -= 1;
             cursor += 1;
         }
-        out.push(
-            (0..n_routes)
-                .map(|r| SizePrediction {
-                    capacity_pages: cap,
-                    disk_accesses: nd[r],
-                    idle_count: ni[r],
-                    idle_total_secs: total[r].max(0.0),
-                    first_miss_secs: (head[r] != NONE_IDX).then(|| entries[head[r] as usize].time),
-                    last_miss_secs: (tail[r] != NONE_IDX).then(|| entries[tail[r] as usize].time),
-                })
-                .collect(),
-        );
+        out.extend(streams.iter().map(|s| SizePrediction {
+            capacity_pages: cap,
+            disk_accesses: s.misses,
+            idle_count: s.idle_count,
+            idle_total_secs: s.idle_total.max(0.0),
+            first_miss_secs: (s.head != NONE_IDX).then(|| time(s.head)),
+            last_miss_secs: (s.tail != NONE_IDX).then(|| time(s.tail)),
+        }));
     }
     out
 }

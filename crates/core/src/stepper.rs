@@ -115,14 +115,14 @@ impl<C: PeriodController> PolicyStepper<C> {
     ///
     /// # Errors
     ///
-    /// Fails when a resume checkpoint's images do not decode against this
-    /// stack (wrapped as a [`SourceError`], like the batch entry point).
+    /// Fails when a resume checkpoint was captured from another label or
+    /// duration, or its images do not decode against this stack (wrapped
+    /// as a [`SourceError`], like the batch entry point).
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid, `duration_secs` does not
-    /// exceed the warm-up, or a resume checkpoint's label/duration
-    /// disagree with the arguments.
+    /// Panics if the configuration is invalid or `duration_secs` does not
+    /// exceed the warm-up.
     #[allow(clippy::too_many_arguments)] // mirrors run_simulation_full
     pub fn new(
         config: SimConfig,
@@ -140,14 +140,7 @@ impl<C: PeriodController> PolicyStepper<C> {
             "duration must exceed the warm-up window"
         );
         if let Some(ckpt) = resume {
-            assert_eq!(
-                ckpt.label, label,
-                "checkpoint was captured from a different run"
-            );
-            assert_eq!(
-                ckpt.duration, duration_secs,
-                "checkpoint was captured for a different duration"
-            );
+            ckpt.check_resumes(label, duration_secs)?;
         }
 
         let spans = SpanRecorder::new();
@@ -592,5 +585,23 @@ mod tests {
         }
         assert_eq!(skipped, ckpt.engine.stats.records_pulled);
         assert_eq!(resumed.finish(), uninterrupted);
+
+        // The checkpoint resumes only its own run: another label or
+        // duration is a typed error, not a panic.
+        let mut other = spec.clone();
+        other.label = "another-method".into();
+        for (spec, duration) in [(&other, 1800.0), (&spec, 3600.0)] {
+            let resumed = PolicyStepper::for_method(
+                spec,
+                &scale,
+                trace.total_pages(),
+                0.0,
+                duration,
+                300.0,
+                &Telemetry::disabled(),
+                Some(&ckpt),
+            );
+            assert!(resumed.is_err(), "{} / {duration} s resumed", spec.label);
+        }
     }
 }

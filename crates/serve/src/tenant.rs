@@ -89,7 +89,8 @@ pub type TenantController = DegradationGuard<OverloadPolicy>;
 /// # Errors
 ///
 /// Fails on an invalid joint configuration at this scale, or a resume
-/// checkpoint whose images do not decode against this stack.
+/// checkpoint from another tenant or duration, or whose images do not
+/// decode against this stack.
 pub fn build_stepper(
     cfg: &ServeConfig,
     name: &str,

@@ -19,10 +19,10 @@ use crate::{
 /// This is what `jpmd-ckpt` serializes into `.jck` files.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimCheckpoint {
-    /// The interrupted run's label (resume asserts it matches).
+    /// The interrupted run's label (resume requires it to match).
     pub label: String,
-    /// The interrupted run's target duration, s (resume asserts it
-    /// matches).
+    /// The interrupted run's target duration, s (resume requires it to
+    /// match).
     pub duration: f64,
     /// The telemetry sequence counter at the capture instant; resume
     /// fast-forwards the handle here so the combined event stream stays
@@ -33,6 +33,31 @@ pub struct SimCheckpoint {
     pub span_calls: Vec<(String, u64)>,
     /// The engine's checkpoint: stats, clock, hardware, observers.
     pub engine: EngineCheckpoint,
+}
+
+impl SimCheckpoint {
+    /// Checks that this checkpoint was captured from the run `label` of
+    /// `duration` seconds, the only run it can resume.
+    ///
+    /// # Errors
+    ///
+    /// A [`SourceError`] naming the mismatch, like any other checkpoint
+    /// that does not restore against the run.
+    pub fn check_resumes(&self, label: &str, duration: f64) -> Result<(), SourceError> {
+        if self.label != label {
+            return Err(restore_error(serde::Error::custom(format!(
+                "checkpoint was captured from run '{}', not '{label}'",
+                self.label
+            ))));
+        }
+        if self.duration != duration {
+            return Err(restore_error(serde::Error::custom(format!(
+                "checkpoint was captured for a {} s run, not {duration} s",
+                self.duration
+            ))));
+        }
+        Ok(())
+    }
 }
 
 /// Outcome of a checkpointable simulation run.
@@ -219,15 +244,15 @@ pub fn run_simulation_source_with<S: TraceSource>(
 ///
 /// # Errors
 ///
-/// Propagates the first [`SourceError`] the source yields. A checkpoint
-/// whose images do not decode against this run's observer stack fails with
-/// a `SourceError` wrapping the decode error.
+/// Propagates the first [`SourceError`] the source yields. A resume
+/// checkpoint captured from another label or duration, or whose images do
+/// not decode against this run's observer stack, fails with a
+/// `SourceError` wrapping the mismatch.
 ///
 /// # Panics
 ///
 /// Panics if the source's page size differs from the memory
-/// configuration's, if `duration` does not exceed the warm-up, or if a
-/// resume checkpoint's label/duration disagree with the arguments.
+/// configuration's, or if `duration` does not exceed the warm-up.
 #[allow(clippy::too_many_arguments)]
 pub fn run_simulation_full<S: TraceSource>(
     config: &SimConfig,
@@ -252,14 +277,7 @@ pub fn run_simulation_full<S: TraceSource>(
         "duration must exceed the warm-up window"
     );
     if let Some(ckpt) = resume {
-        assert_eq!(
-            ckpt.label, label,
-            "checkpoint was captured from a different run"
-        );
-        assert_eq!(
-            ckpt.duration, duration,
-            "checkpoint was captured for a different duration"
-        );
+        ckpt.check_resumes(label, duration)?;
     }
 
     let spans = SpanRecorder::new();

@@ -232,17 +232,15 @@ fn shutdown_flag_interrupts_at_next_boundary() {
     let _ = shutdown.load(Ordering::Relaxed);
 }
 
-#[test]
-fn tampered_checkpoint_fails_with_an_error_not_a_panic() {
-    let config = config();
-    let trace = trace();
+/// The first checkpoint of a 600 s "tamper-test" run.
+fn first_checkpoint(config: &SimConfig, trace: &Trace) -> SimCheckpoint {
     let mut captured = Vec::new();
     let mut on_checkpoint = |ckpt: SimCheckpoint| {
         captured.push(ckpt);
         false
     };
     run_simulation_full(
-        &config,
+        config,
         SpinDownPolicy::controlled(f64::INFINITY),
         &mut Oscillator::default(),
         trace.source(),
@@ -257,23 +255,53 @@ fn tampered_checkpoint_fails_with_an_error_not_a_panic() {
         }),
     )
     .expect("run");
-    let mut ckpt = captured.pop().expect("one checkpoint");
-    // Corrupt the hardware image wholesale.
-    ckpt.engine.hw = serde::Value::Str("not a hardware snapshot".into());
-    let err = run_simulation_full(
-        &config,
+    captured.pop().expect("one checkpoint")
+}
+
+fn resume_from(
+    config: &SimConfig,
+    trace: &Trace,
+    ckpt: &SimCheckpoint,
+    label: &str,
+    duration: f64,
+) -> Result<SimOutcome, jpmd_trace::SourceError> {
+    run_simulation_full(
+        config,
         SpinDownPolicy::controlled(f64::INFINITY),
         &mut Oscillator::default(),
         trace.source(),
-        600.0,
-        "tamper-test",
+        duration,
+        label,
         &Telemetry::disabled(),
         None,
-        Some(&ckpt),
+        Some(ckpt),
         None,
     )
-    .expect_err("tampered checkpoint must fail to restore");
+}
+
+#[test]
+fn tampered_checkpoint_fails_with_an_error_not_a_panic() {
+    let config = config();
+    let trace = trace();
+    let mut ckpt = first_checkpoint(&config, &trace);
+    // Corrupt the hardware image wholesale.
+    ckpt.engine.hw = serde::Value::Str("not a hardware snapshot".into());
+    let err = resume_from(&config, &trace, &ckpt, "tamper-test", 600.0)
+        .expect_err("tampered checkpoint must fail to restore");
     assert!(err.to_string().contains("checkpoint restore failed"));
+}
+
+#[test]
+fn resuming_another_runs_checkpoint_fails_with_an_error_not_a_panic() {
+    let config = config();
+    let trace = trace();
+    let ckpt = first_checkpoint(&config, &trace);
+    let err = resume_from(&config, &trace, &ckpt, "another-run", 600.0)
+        .expect_err("a foreign label must not resume");
+    assert!(err.to_string().contains("'tamper-test'"), "{err}");
+    let err = resume_from(&config, &trace, &ckpt, "tamper-test", 540.0)
+        .expect_err("a different duration must not resume");
+    assert!(err.to_string().contains("600 s run"), "{err}");
 }
 
 /// Yields scripted records in the given order, *without* the time sort

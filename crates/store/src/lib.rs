@@ -20,13 +20,11 @@
 //!   producing **bit-identical** `RunReport`s to in-memory replay (the
 //!   workspace `store_stream` integration tests assert this).
 //!
-//! On top of the append-only trace format, the crate is the workspace's
-//! **run database** (ROADMAP item 5):
+//! Next to the trace format, the crate holds the storage plumbing the
+//! rest of the workspace shares:
 //!
-//! * [`PagedFile`] — a random-access page store with a page-level
-//!   write-ahead [`Journal`] (commit = journal fsync, checkpoint =
-//!   write-back + truncate, recovery = replay on open) and a safe LRU
-//!   [`PageCache`];
+//! * [`mod@backend`] — the [`StorageBackend`] seam every durable write
+//!   path goes through (the fault-injection hook);
 //! * [`mod@index`] — sparse per-period `<wal>.jx` sidecars that make
 //!   `seek_to_period` on JSONL telemetry WALs O(index) instead of
 //!   O(file);
@@ -36,8 +34,7 @@
 //!   binary in the workspace uses.
 //!
 //! The `trace-tool` binary (this crate) converts between `.json` and
-//! `.jpt`, prints and verifies stores, generates workloads, and
-//! exercises the journal crash protocol (`db-torture`/`db-verify`).
+//! `.jpt`, prints and verifies stores, and generates workloads.
 //!
 //! # Example
 //!
@@ -76,9 +73,6 @@ mod durability;
 mod error;
 pub mod format;
 pub mod index;
-pub mod journal;
-mod pagecache;
-mod pagedfile;
 mod reader;
 pub mod segment;
 mod writer;
@@ -91,9 +85,6 @@ pub use format::Header;
 pub use index::{
     index_path, IndexEntry, PeriodIndex, PeriodIndexWriter, INDEX_ENTRY_BYTES, INDEX_HEADER_BYTES,
 };
-pub use journal::{journal_path, Journal, JournalReplay};
-pub use pagecache::PageCache;
-pub use pagedfile::{PagedFile, PagedFileStats};
 pub use reader::{read_trace, SkippedPage, SkippedPages, TraceReader};
 pub use segment::{
     compact_segments, next_segment_path, segment_path, segment_paths, CompactionReport,
