@@ -306,15 +306,17 @@ fn bench_engine_telemetry_overhead(c: &mut Criterion) {
     group.bench_function("replay_disabled", |b| {
         b.iter(|| {
             black_box(
-                methods::run_method_source_with(
+                methods::replay(
                     &spec,
                     &scale,
-                    trace.source(),
+                    trace.total_pages(),
                     0.0,
                     700.0,
                     300.0,
                     &Telemetry::disabled(),
+                    None,
                 )
+                .and_then(|replay| replay.run(trace.source()))
                 .expect("in-memory source"),
             )
         });
@@ -323,15 +325,17 @@ fn bench_engine_telemetry_overhead(c: &mut Criterion) {
         b.iter(|| {
             let telemetry = Telemetry::new(Box::new(NullSink));
             black_box(
-                methods::run_method_source_with(
+                methods::replay(
                     &spec,
                     &scale,
-                    trace.source(),
+                    trace.total_pages(),
                     0.0,
                     700.0,
                     300.0,
                     &telemetry,
+                    None,
                 )
+                .and_then(|replay| replay.run(trace.source()))
                 .expect("in-memory source"),
             )
         });

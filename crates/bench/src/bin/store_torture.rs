@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use jpmd_ckpt::{load_checkpoint, CkptMeta, FileCheckpointer};
-use jpmd_core::methods::{self, run_method_checkpointed};
+use jpmd_core::methods;
 use jpmd_core::SimScale;
 use jpmd_faults::{FaultyStorage, IoFaultMonitor, IoFaultPlan, SharedBackend};
 use jpmd_obs::{JsonlSink, ObsEvent, ObsRecord, Sink, Telemetry, WalPolicy};
@@ -247,20 +247,25 @@ fn capture_checkpoint() -> Result<SimCheckpoint, String> {
         captured = Some(ckpt);
         false
     };
-    let outcome = run_method_checkpointed(
+    let outcome = methods::replay(
         &spec,
         &scale,
-        trace.source(),
+        trace.total_pages(),
         60.0,
         600.0,
         120.0,
         &Telemetry::disabled(),
         None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy::every(1),
-            on_checkpoint: &mut on_checkpoint,
-        }),
     )
+    .and_then(|replay| {
+        replay.run_checkpointed(
+            trace.source(),
+            Some(CheckpointOptions {
+                policy: CheckpointPolicy::every(1),
+                on_checkpoint: &mut on_checkpoint,
+            }),
+        )
+    })
     .map_err(|e| format!("capture run: {e}"))?;
     if outcome != SimOutcome::Interrupted {
         return Err("capture run was not interrupted at its checkpoint".into());

@@ -35,15 +35,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     let telemetry = Telemetry::new(Box::new(JsonlSink::create(&out)?));
-    let report = methods::run_method_source_with(
+    let report = methods::replay(
         &methods::joint(&scale),
         &scale,
-        trace.source(),
+        trace.total_pages(),
         period, // one period of warm-up
         duration,
         period,
         &telemetry,
-    )?;
+        None,
+    )?
+    .run(trace.source())?;
     telemetry.flush();
 
     println!(

@@ -133,15 +133,17 @@ fn run_with(
     trace: &Trace,
     telemetry: &Telemetry,
 ) -> RunReport {
-    methods::run_method_source_with(
+    methods::replay(
         spec,
         &cfg.scale,
-        trace.source(),
+        trace.total_pages(),
         cfg.warmup_secs,
         cfg.duration_secs,
         cfg.period_secs,
         telemetry,
+        None,
     )
+    .and_then(|replay| replay.run(trace.source()))
     .expect("in-memory trace sources cannot fail")
 }
 

@@ -22,9 +22,10 @@
 //!
 //! Resume contract: rebuild the run from the **same** configuration and
 //! an identical source, pass the loaded checkpoint to
-//! [`jpmd_sim::run_simulation_full`] (or
-//! [`jpmd_core::methods::run_method_checkpointed`] /
-//! [`jpmd_faults::run_chaos_checkpointed`]), and reopen the telemetry
+//! [`jpmd_sim::Replay::new`] (directly, through
+//! [`jpmd_core::methods::replay`], or through
+//! [`jpmd_faults::run_chaos_checkpointed`]), drive the replay from the
+//! start of the source under either driver, and reopen the telemetry
 //! file with [`jpmd_obs::JsonlSink::resume`] at the checkpoint's
 //! `telemetry_seq`. The completed report is then bit-identical to the
 //! uninterrupted run's, and the telemetry stream is gap-free (the

@@ -7,11 +7,9 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use jpmd_ckpt::{save_checkpoint, CkptMeta};
-use jpmd_core::methods::{self, run_method_checkpointed};
-use jpmd_core::SimScale;
-use jpmd_obs::Telemetry;
-use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint, SimOutcome};
-use jpmd_trace::{WorkloadBuilder, MIB};
+
+mod common;
+use common::capture_checkpoint;
 
 fn tool(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ckpt_tool"))
@@ -30,44 +28,9 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// A real checkpoint file with a non-resumable (free-form) recipe kind.
 fn good_file(tag: &str) -> PathBuf {
-    let scale = SimScale::small_test();
-    let trace = WorkloadBuilder::new()
-        .data_set_bytes(64 * MIB)
-        .rate_bytes_per_sec(2 * MIB)
-        .page_bytes(scale.page_bytes)
-        .duration_secs(600.0)
-        .seed(7)
-        .build()
-        .expect("workload builds");
-    let spec = methods::always_on(&scale);
-    let mut captured = None;
-    let mut on_checkpoint = |ckpt: SimCheckpoint| {
-        captured = Some(ckpt);
-        false
-    };
-    let outcome = run_method_checkpointed(
-        &spec,
-        &scale,
-        trace.source(),
-        60.0,
-        600.0,
-        120.0,
-        &Telemetry::disabled(),
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy::every(1),
-            on_checkpoint: &mut on_checkpoint,
-        }),
-    )
-    .expect("capture run");
-    assert_eq!(outcome, SimOutcome::Interrupted);
     let path = scratch(tag);
-    save_checkpoint(
-        &path,
-        &CkptMeta::new("method"),
-        &captured.expect("checkpoint"),
-    )
-    .expect("save checkpoint");
+    save_checkpoint(&path, &CkptMeta::new("method"), &capture_checkpoint())
+        .expect("save checkpoint");
     path
 }
 

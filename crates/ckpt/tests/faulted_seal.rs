@@ -6,48 +6,11 @@
 use std::path::PathBuf;
 
 use jpmd_ckpt::{load_checkpoint, save_checkpoint, save_checkpoint_on, CkptMeta, FileCheckpointer};
-use jpmd_core::methods::{self, run_method_checkpointed};
-use jpmd_core::SimScale;
 use jpmd_faults::{FaultyStorage, IoFaultPlan, SharedBackend, StorageFaults};
 use jpmd_obs::Telemetry;
-use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint, SimOutcome};
-use jpmd_trace::{WorkloadBuilder, MIB};
 
-/// Captures one real checkpoint from a short always-on run.
-fn capture_checkpoint() -> SimCheckpoint {
-    let scale = SimScale::small_test();
-    let trace = WorkloadBuilder::new()
-        .data_set_bytes(64 * MIB)
-        .rate_bytes_per_sec(2 * MIB)
-        .page_bytes(scale.page_bytes)
-        .duration_secs(600.0)
-        .seed(7)
-        .build()
-        .expect("workload builds");
-    let spec = methods::always_on(&scale);
-    let mut captured = None;
-    let mut on_checkpoint = |ckpt: SimCheckpoint| {
-        captured = Some(ckpt);
-        false
-    };
-    let outcome = run_method_checkpointed(
-        &spec,
-        &scale,
-        trace.source(),
-        60.0,
-        600.0,
-        120.0,
-        &Telemetry::disabled(),
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy::every(1),
-            on_checkpoint: &mut on_checkpoint,
-        }),
-    )
-    .expect("capture run");
-    assert_eq!(outcome, SimOutcome::Interrupted);
-    captured.expect("one checkpoint captured")
-}
+mod common;
+use common::capture_checkpoint;
 
 fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use jpmd_ckpt::{load_checkpoint, CkptMeta, FileCheckpointer};
-use jpmd_core::methods::{self, run_method_checkpointed};
+use jpmd_core::methods;
 use jpmd_core::{DiskPolicyKind, MethodSpec, SimScale};
 use jpmd_obs::{JsonlSink, ObsRecord, Telemetry, WalPolicy};
 use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint, SimOutcome};
@@ -63,17 +63,17 @@ fn assert_method_resumes(spec: &MethodSpec, tag: &str, stop_after: u64) {
         let telemetry = Telemetry::new(Box::new(
             JsonlSink::create_with(&baseline_wal, WalPolicy::wal()).expect("baseline sink"),
         ));
-        run_method_checkpointed(
+        methods::replay(
             spec,
             &scale,
-            trace.source(),
+            trace.total_pages(),
             WARMUP,
             DURATION,
             PERIOD,
             &telemetry,
             None,
-            None,
         )
+        .and_then(|replay| replay.run_checkpointed(trace.source(), None))
         .expect("baseline run")
         .into_report()
         .expect("baseline completes")
@@ -89,20 +89,25 @@ fn assert_method_resumes(spec: &MethodSpec, tag: &str, stop_after: u64) {
         let mut saver = FileCheckpointer::new(&jck, meta, telemetry.clone());
         let mut on_checkpoint =
             |ckpt: SimCheckpoint| saver.save(&ckpt) && saver.saved() < stop_after;
-        let outcome = run_method_checkpointed(
+        let outcome = methods::replay(
             spec,
             &scale,
-            trace.source(),
+            trace.total_pages(),
             WARMUP,
             DURATION,
             PERIOD,
             &telemetry,
             None,
-            Some(CheckpointOptions {
-                policy: CheckpointPolicy::every(1),
-                on_checkpoint: &mut on_checkpoint,
-            }),
         )
+        .and_then(|replay| {
+            replay.run_checkpointed(
+                trace.source(),
+                Some(CheckpointOptions {
+                    policy: CheckpointPolicy::every(1),
+                    on_checkpoint: &mut on_checkpoint,
+                }),
+            )
+        })
         .expect("interrupted run");
         assert_eq!(outcome, SimOutcome::Interrupted);
         assert!(saver.take_error().is_none(), "checkpoint saves succeed");
@@ -116,17 +121,17 @@ fn assert_method_resumes(spec: &MethodSpec, tag: &str, stop_after: u64) {
         let telemetry = Telemetry::new(Box::new(
             JsonlSink::resume(&run_wal, ckpt.telemetry_seq, WalPolicy::wal()).expect("WAL reopens"),
         ));
-        run_method_checkpointed(
+        methods::replay(
             spec,
             &scale,
-            trace.source(),
+            trace.total_pages(),
             WARMUP,
             DURATION,
             PERIOD,
             &telemetry,
             Some(&ckpt),
-            None,
         )
+        .and_then(|replay| replay.run_checkpointed(trace.source(), None))
         .expect("resumed run")
         .into_report()
         .expect("resumed run completes")

@@ -16,12 +16,9 @@
 use serde::{Deserialize, Serialize};
 
 use jpmd_disk::SpinDownPolicy;
-use jpmd_mem::{IdlePolicy, MemConfig, Replacement};
+use jpmd_mem::{IdlePolicy, Replacement};
 use jpmd_obs::Telemetry;
-use jpmd_sim::{
-    run_simulation_full, CheckpointOptions, NullController, RunReport, SimCheckpoint, SimConfig,
-    SimOutcome,
-};
+use jpmd_sim::{NullController, PeriodController, Replay, RunReport, SimCheckpoint, SimConfig};
 use jpmd_trace::{SourceError, Trace, TraceSource};
 
 use crate::{JointConfig, JointPolicy, SimScale};
@@ -196,6 +193,78 @@ pub fn paper_suite(scale: &SimScale, fm_sizes_gb: &[u64]) -> Vec<MethodSpec> {
     out
 }
 
+/// The simulation configuration a method runs under: the scale's
+/// hardware with the spec's memory policy, starting banks, replacement
+/// policy and consolidation. Warm-up and period stay at their defaults;
+/// [`replay`] sets them per run.
+pub fn sim_config_for(spec: &MethodSpec, scale: &SimScale) -> SimConfig {
+    let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
+    sim.replacement = spec.replacement;
+    sim.consolidate = spec.consolidate;
+    sim
+}
+
+/// The one method wiring: a [`Replay`] of `spec` at `scale` over a page
+/// space of `total_pages`. `warmup_secs`/`duration_secs` carve the
+/// measured window; `period_secs` sets the control period (only the joint
+/// method acts on it). The joint method gets a [`JointPolicy`] built from
+/// the spec's configuration at `period_secs` (emitting one
+/// `PolicyDecision` per period through `telemetry`), every other method a
+/// [`NullController`].
+///
+/// Drive the result in batch ([`Replay::run`], [`Replay::run_checkpointed`])
+/// or record by record ([`PolicyStepper`](crate::PolicyStepper) wraps it).
+/// The resume contract is [`Replay::new`]'s: rebuild from the **same**
+/// spec, scale, cadence and record stream; the joint method's controller
+/// state (period counter, last candidate table) travels inside the
+/// checkpoint's controller image.
+///
+/// # Errors
+///
+/// Fails on an invalid joint configuration or a resume checkpoint that
+/// does not restore.
+///
+/// # Panics
+///
+/// Panics if `duration_secs` does not exceed the warm-up.
+#[allow(clippy::too_many_arguments)]
+pub fn replay(
+    spec: &MethodSpec,
+    scale: &SimScale,
+    total_pages: u64,
+    warmup_secs: f64,
+    duration_secs: f64,
+    period_secs: f64,
+    telemetry: &Telemetry,
+    resume: Option<&SimCheckpoint>,
+) -> Result<Replay<Box<dyn PeriodController>>, SourceError> {
+    let mut sim = sim_config_for(spec, scale);
+    sim.warmup_secs = warmup_secs;
+    sim.period_secs = period_secs;
+    let controller: Box<dyn PeriodController> = match &spec.joint {
+        Some(joint_cfg) => {
+            let mut cfg = *joint_cfg;
+            cfg.period_secs = period_secs;
+            Box::new(
+                JointPolicy::try_with_telemetry(cfg, telemetry.clone())
+                    .map_err(SourceError::new)?,
+            )
+        }
+        None => Box::new(NullController),
+    };
+    Replay::new(
+        &sim,
+        spec.spindown.clone(),
+        controller,
+        total_pages,
+        duration_secs,
+        &spec.label,
+        telemetry,
+        None,
+        resume,
+    )
+}
+
 /// Runs one method over a trace and returns its report.
 ///
 /// `warmup_secs`/`duration_secs` carve the measured window; `period_secs`
@@ -236,230 +305,17 @@ pub fn run_method_source<S: TraceSource>(
     duration_secs: f64,
     period_secs: f64,
 ) -> Result<RunReport, SourceError> {
-    run_method_source_with(
+    replay(
         spec,
         scale,
-        source,
+        source.total_pages(),
         warmup_secs,
         duration_secs,
         period_secs,
         &Telemetry::disabled(),
-    )
-}
-
-/// Like [`run_method_source`], with telemetry: the simulator emits run
-/// lifecycle and per-period traffic events, and the joint method
-/// additionally emits one `PolicyDecision` per period (fitted Pareto α/β,
-/// chosen timeout and memory size, and the candidate power table).
-///
-/// With a disabled handle this *is* [`run_method_source`]; with any sink
-/// the returned report is bit-identical to the uninstrumented run (the
-/// `determinism` tests in `jpmd-obs` assert both).
-///
-/// # Errors
-///
-/// Propagates the first [`SourceError`] the source yields.
-#[allow(clippy::too_many_arguments)]
-pub fn run_method_source_with<S: TraceSource>(
-    spec: &MethodSpec,
-    scale: &SimScale,
-    source: S,
-    warmup_secs: f64,
-    duration_secs: f64,
-    period_secs: f64,
-    telemetry: &Telemetry,
-) -> Result<RunReport, SourceError> {
-    match run_method_checkpointed(
-        spec,
-        scale,
-        source,
-        warmup_secs,
-        duration_secs,
-        period_secs,
-        telemetry,
         None,
-        None,
-    )? {
-        SimOutcome::Completed(report) => Ok(*report),
-        SimOutcome::Interrupted => unreachable!("no checkpoint policy was installed"),
-    }
-}
-
-/// The checkpointable twin of [`run_method_source_with`]: the same method
-/// wiring, with optional checkpoint capture and resume-from-checkpoint
-/// forwarded to [`run_simulation_full`].
-///
-/// The resume contract is [`run_simulation_full`]'s: a resumed run must be
-/// rebuilt from the **same** spec, scale, cadence, and an identical source
-/// (the engine replays and discards the consumed prefix), after which the
-/// completed report is bit-identical to the uninterrupted run's. The
-/// joint method's controller state (period counter, last candidate table)
-/// travels inside the checkpoint's observer/controller images.
-///
-/// # Errors
-///
-/// Propagates the first [`SourceError`] the source yields, an invalid
-/// joint configuration, or a checkpoint that fails to restore.
-///
-/// # Panics
-///
-/// Panics if the source's page size differs from the scale's, or if
-/// `duration_secs` does not exceed the warm-up.
-#[allow(clippy::too_many_arguments)] // mirrors run_method_source_with + resume/checkpoints
-pub fn run_method_checkpointed<S: TraceSource>(
-    spec: &MethodSpec,
-    scale: &SimScale,
-    source: S,
-    warmup_secs: f64,
-    duration_secs: f64,
-    period_secs: f64,
-    telemetry: &Telemetry,
-    resume: Option<&SimCheckpoint>,
-    checkpoints: Option<CheckpointOptions<'_>>,
-) -> Result<SimOutcome, SourceError> {
-    let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
-    sim.warmup_secs = warmup_secs;
-    sim.period_secs = period_secs;
-    sim.replacement = spec.replacement;
-    sim.consolidate = spec.consolidate;
-    match &spec.joint {
-        Some(joint_cfg) => {
-            let mut cfg = *joint_cfg;
-            cfg.period_secs = period_secs;
-            let mut controller = JointPolicy::try_with_telemetry(cfg, telemetry.clone())
-                .map_err(SourceError::new)?;
-            run_simulation_full(
-                &sim,
-                spec.spindown.clone(),
-                &mut controller,
-                source,
-                duration_secs,
-                &spec.label,
-                telemetry,
-                None,
-                resume,
-                checkpoints,
-            )
-        }
-        None => run_simulation_full(
-            &sim,
-            spec.spindown.clone(),
-            &mut NullController,
-            source,
-            duration_secs,
-            &spec.label,
-            telemetry,
-            None,
-            resume,
-            checkpoints,
-        ),
-    }
-}
-
-/// Runs an arbitrary [`PeriodController`](jpmd_sim::PeriodController)
-/// over a workload with the same
-/// wiring as [`run_method_checkpointed`] — the seam the fleet layer uses
-/// for its bidding and planned passes, where the controller is not one of
-/// the paper's named methods. The memory idle policy is `Nap` with global
-/// LRU (the joint method's configuration); `spindown` and `initial_banks`
-/// are the caller's.
-///
-/// The resume contract is unchanged: rebuild the run with the same
-/// arguments and a controller of the same type (its dynamic state is
-/// restored from the checkpoint's controller image), and the completed
-/// report is bit-identical to the uninterrupted run's.
-///
-/// # Errors
-///
-/// Propagates the first [`SourceError`] the source yields, or a
-/// checkpoint that fails to restore.
-#[allow(clippy::too_many_arguments)] // mirrors run_method_checkpointed
-pub fn run_controller_checkpointed<S: TraceSource>(
-    label: &str,
-    scale: &SimScale,
-    spindown: SpinDownPolicy,
-    initial_banks: u32,
-    controller: &mut dyn jpmd_sim::PeriodController,
-    source: S,
-    warmup_secs: f64,
-    duration_secs: f64,
-    period_secs: f64,
-    telemetry: &Telemetry,
-    resume: Option<&SimCheckpoint>,
-    checkpoints: Option<CheckpointOptions<'_>>,
-) -> Result<SimOutcome, SourceError> {
-    let mut sim = scale.sim_config(IdlePolicy::Nap, initial_banks);
-    sim.warmup_secs = warmup_secs;
-    sim.period_secs = period_secs;
-    run_simulation_full(
-        &sim,
-        spindown,
-        controller,
-        source,
-        duration_secs,
-        label,
-        telemetry,
-        None,
-        resume,
-        checkpoints,
-    )
-}
-
-/// Runs one method over a trace on a **disk array**, mirroring
-/// [`run_method`]: the joint method becomes the array-aware
-/// [`ArrayJointPolicy`](crate::ArrayJointPolicy) (per-disk Pareto fits and
-/// timeouts); static methods apply their spin-down policy per member.
-#[allow(clippy::too_many_arguments)] // mirrors run_method + array geometry
-pub fn run_array_method(
-    spec: &MethodSpec,
-    scale: &SimScale,
-    array: &jpmd_sim::ArrayConfig,
-    trace: &Trace,
-    warmup_secs: f64,
-    duration_secs: f64,
-    period_secs: f64,
-) -> RunReport {
-    let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
-    sim.warmup_secs = warmup_secs;
-    sim.period_secs = period_secs;
-    sim.replacement = spec.replacement;
-    sim.consolidate = spec.consolidate;
-    match &spec.joint {
-        Some(joint_cfg) => {
-            let mut cfg = *joint_cfg;
-            cfg.period_secs = period_secs;
-            let mut controller =
-                crate::ArrayJointPolicy::new(cfg, array.disks, array.layout, trace.total_pages());
-            jpmd_sim::run_array_simulation(
-                &sim,
-                array,
-                spec.spindown.clone(),
-                &mut controller,
-                trace,
-                duration_secs,
-                &spec.label,
-            )
-        }
-        None => jpmd_sim::run_array_simulation(
-            &sim,
-            array,
-            spec.spindown.clone(),
-            &mut jpmd_sim::NullArrayController,
-            trace,
-            duration_secs,
-            &spec.label,
-        ),
-    }
-}
-
-/// Convenience: the memory configuration a method starts with.
-pub fn mem_config_for(spec: &MethodSpec, scale: &SimScale) -> MemConfig {
-    scale.sim_config(spec.mem_policy, spec.initial_banks).mem
-}
-
-/// Convenience: the simulation configuration a method runs under.
-pub fn sim_config_for(spec: &MethodSpec, scale: &SimScale) -> SimConfig {
-    scale.sim_config(spec.mem_policy, spec.initial_banks)
+    )?
+    .run(source)
 }
 
 #[cfg(test)]
@@ -511,38 +367,6 @@ mod tests {
         let j = joint(&scale());
         assert!(j.joint.is_some());
         assert!(matches!(j.spindown, SpinDownPolicy::Controlled { .. }));
-    }
-
-    #[test]
-    fn run_array_method_dispatches_to_array_controller() {
-        use jpmd_disk::Layout;
-        use jpmd_trace::{WorkloadBuilder, GIB, MIB};
-        let scale = SimScale::small_test();
-        let trace = WorkloadBuilder::new()
-            .data_set_bytes(GIB / 2)
-            .rate_bytes_per_sec(4 * MIB)
-            .duration_secs(700.0)
-            .seed(3)
-            .build()
-            .expect("workload");
-        let array = jpmd_sim::ArrayConfig {
-            disks: 2,
-            layout: Layout::Partitioned,
-        };
-        let j = run_array_method(&joint(&scale), &scale, &array, &trace, 0.0, 700.0, 300.0);
-        let b = run_array_method(
-            &always_on(&scale),
-            &scale,
-            &array,
-            &trace,
-            0.0,
-            700.0,
-            300.0,
-        );
-        assert_eq!(j.cache_accesses, b.cache_accesses);
-        assert!(j.energy.total_j() < b.energy.total_j());
-        // The joint controller must have acted at the period boundaries.
-        assert!(j.periods.iter().any(|p| p.action.enabled_banks.is_some()));
     }
 
     #[test]

@@ -2,22 +2,16 @@
 //! [`FaultPlan`] around the standard simulation pipeline and reports what
 //! was injected, what degraded, and what recovered.
 //!
-//! [`run_instrumented`] is the injector-aware twin of
-//! [`jpmd_sim::run_simulation_source_with`]: identical wiring, plus an
-//! optional [`FaultInjector`] installed into the hardware. With `None` it
-//! produces bit-identical reports (asserted by the `noop` integration
-//! tests). [`run_chaos`] builds the full stack — faulty source, faulty
-//! hardware, faulty policy under a [`DegradationGuard`] — from a plan and
-//! a scale, runs it, and returns a [`ChaosReport`].
+//! [`run_chaos`] builds the full stack — faulty source, faulty hardware,
+//! faulty policy under a [`DegradationGuard`] — from a plan and a scale,
+//! runs it through the one replay stack ([`Replay`], with the hardware
+//! [`FaultInjector`] installed), and returns a [`ChaosReport`].
 
 use jpmd_core::{JointConfig, JointPolicy, SimScale};
 use jpmd_disk::SpinDownPolicy;
 use jpmd_mem::IdlePolicy;
 use jpmd_obs::Telemetry;
-use jpmd_sim::{
-    run_simulation_full, CheckpointOptions, FaultInjector, PeriodController, RunReport,
-    SimCheckpoint, SimConfig, SimOutcome,
-};
+use jpmd_sim::{CheckpointOptions, FaultInjector, Replay, RunReport, SimCheckpoint, SimOutcome};
 use jpmd_trace::{SourceError, Trace, TraceSource, WorkloadBuilder, GIB, MIB};
 
 use crate::guard::{DegradationGuard, FallbackLevel, FaultyPolicy, GuardConfig, GuardStats};
@@ -31,39 +25,6 @@ use crate::source::{FaultyTraceSource, SourceFaultCounts};
 const SOURCE_STREAM: u64 = 0;
 const HW_STREAM: u64 = 1;
 const POLICY_STREAM: u64 = 2;
-
-/// Like [`jpmd_sim::run_simulation_source_with`], with an optional
-/// [`FaultInjector`] installed into the hardware before replay. The wiring
-/// is otherwise identical — observer stack, span timing, telemetry
-/// lifecycle, report assembly — so with `injector: None` the report is
-/// bit-identical to the uninstrumented entry point.
-///
-/// # Errors
-///
-/// Propagates the first non-transient [`SourceError`] the source yields.
-///
-/// # Panics
-///
-/// Panics if the source's page size differs from the memory
-/// configuration's, or if `duration` does not exceed the warm-up.
-#[allow(clippy::too_many_arguments)] // mirrors run_simulation_source_with + injector
-pub fn run_instrumented<S: TraceSource>(
-    config: &SimConfig,
-    spindown: SpinDownPolicy,
-    controller: &mut dyn PeriodController,
-    source: S,
-    duration: f64,
-    label: &str,
-    telemetry: &Telemetry,
-    injector: Option<Box<dyn FaultInjector>>,
-) -> Result<RunReport, SourceError> {
-    match run_simulation_full(
-        config, spindown, controller, source, duration, label, telemetry, injector, None, None,
-    )? {
-        SimOutcome::Completed(report) => Ok(*report),
-        SimOutcome::Interrupted => unreachable!("no checkpoint policy was installed"),
-    }
-}
 
 /// A complete chaos-run recipe: what to inject and at what scale/cadence.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,7 +151,7 @@ pub fn run_chaos<S: TraceSource>(
 ///
 /// A resumed chaos run must be constructed from the **same**
 /// [`ChaosConfig`] (plan, scale, cadence) and an identical source, exactly
-/// like [`run_simulation_full`]'s resume contract; the completed
+/// like [`Replay::new`]'s resume contract; the completed
 /// [`ChaosReport`] is then bit-identical to the uninterrupted run's.
 ///
 /// # Errors
@@ -238,18 +199,18 @@ pub fn run_chaos_checkpointed<S: TraceSource>(
         Some(Box::new(hw_faults))
     };
 
-    let outcome = run_simulation_full(
+    let outcome = Replay::new(
         &sim,
         SpinDownPolicy::controlled(f64::INFINITY),
         &mut guard,
-        &mut faulty_source,
+        faulty_source.total_pages(),
         chaos.duration_secs,
         "Chaos-Joint",
         telemetry,
         injector,
         resume,
-        checkpoints,
-    )?;
+    )?
+    .run_checkpointed(&mut faulty_source, checkpoints)?;
     let report = match outcome {
         SimOutcome::Completed(report) => *report,
         SimOutcome::Interrupted => return Ok(ChaosOutcome::Interrupted),

@@ -46,8 +46,7 @@ mod source;
 mod storage;
 
 pub use chaos::{
-    chaos_trace, run_chaos, run_chaos_checkpointed, run_instrumented, ChaosConfig, ChaosOutcome,
-    ChaosReport,
+    chaos_trace, run_chaos, run_chaos_checkpointed, ChaosConfig, ChaosOutcome, ChaosReport,
 };
 pub use guard::{
     DegradationGuard, FallbackLevel, FalliblePolicy, FaultyPolicy, GuardConfig, GuardStats,

@@ -1,16 +1,17 @@
 //! The harness's first invariant: **disabled injection is invisible**.
 //!
-//! A [`FaultyTraceSource`] built from a noop plan, and the injector-aware
-//! replay entry point run without an injector, must produce reports
-//! bit-identical to the unwrapped pipeline — for the baseline, a static
+//! A [`FaultyTraceSource`] built from a noop plan, and a [`Replay`] built
+//! by hand without an injector, must produce reports bit-identical to the
+//! unwrapped pipeline — for the baseline, a static
 //! method, and the joint method. (Report equality already excludes
 //! wall-clock fields, so `==` is exactly bit-identity on the simulation
 //! outcome.)
 
 use jpmd_core::methods::{self, MethodSpec};
 use jpmd_core::{JointPolicy, SimScale};
-use jpmd_faults::{run_instrumented, FaultPlan, FaultRng, FaultyTraceSource};
+use jpmd_faults::{FaultPlan, FaultRng, FaultyTraceSource};
 use jpmd_obs::Telemetry;
+use jpmd_sim::{FaultInjector, Replay, RunReport};
 use jpmd_trace::{Trace, WorkloadBuilder, GIB, MIB};
 
 const DURATION: f64 = 1800.0;
@@ -57,37 +58,48 @@ fn disabled_source_wrapper_leaves_every_method_bit_identical() {
     }
 }
 
+/// Rebuilds by hand what [`methods::replay`] wires for the joint method —
+/// its own [`JointPolicy`] — with `injector` installed, and runs it over
+/// `trace`.
+fn joint_by_hand(
+    scale: &SimScale,
+    trace: &Trace,
+    injector: Option<Box<dyn FaultInjector>>,
+) -> RunReport {
+    let spec = methods::joint(scale);
+    let mut sim = methods::sim_config_for(&spec, scale);
+    sim.warmup_secs = WARMUP;
+    sim.period_secs = PERIOD;
+    let mut cfg = spec.joint.expect("joint method carries a config");
+    cfg.period_secs = PERIOD;
+    let controller =
+        JointPolicy::try_with_telemetry(cfg, Telemetry::disabled()).expect("valid config");
+    Replay::new(
+        &sim,
+        spec.spindown.clone(),
+        controller,
+        trace.total_pages(),
+        DURATION,
+        &spec.label,
+        &Telemetry::disabled(),
+        injector,
+        None,
+    )
+    .and_then(|replay| replay.run(trace.source()))
+    .expect("in-memory trace source")
+}
+
 #[test]
-fn run_instrumented_without_injector_matches_the_plain_entry_point() {
+fn replay_without_injector_matches_the_plain_entry_point() {
     let scale = SimScale::small_test();
     let trace = trace(&scale);
     let spec = methods::joint(&scale);
     let plain = methods::run_method_source(&spec, &scale, trace.source(), WARMUP, DURATION, PERIOD)
         .expect("in-memory trace source");
-
-    // Rebuild exactly what run_method_source wires for the joint method,
-    // through the injector-aware entry point with no injector.
-    let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
-    sim.warmup_secs = WARMUP;
-    sim.period_secs = PERIOD;
-    let mut cfg = spec.joint.expect("joint method carries a config");
-    cfg.period_secs = PERIOD;
-    let mut controller =
-        JointPolicy::try_with_telemetry(cfg, Telemetry::disabled()).expect("valid config");
-    let instrumented = run_instrumented(
-        &sim,
-        spec.spindown.clone(),
-        &mut controller,
-        trace.source(),
-        DURATION,
-        &spec.label,
-        &Telemetry::disabled(),
-        None,
-    )
-    .expect("in-memory trace source");
+    let by_hand = joint_by_hand(&scale, &trace, None);
     assert_eq!(
-        plain, instrumented,
-        "injector-less run_instrumented diverged from run_simulation_source_with"
+        plain, by_hand,
+        "injector-less hand-built replay diverged from run_method_source"
     );
 }
 
@@ -102,26 +114,9 @@ fn noop_hw_injector_is_also_invisible() {
     let plain = methods::run_method_source(&spec, &scale, trace.source(), WARMUP, DURATION, PERIOD)
         .expect("in-memory trace source");
 
-    let mut sim = scale.sim_config(spec.mem_policy, spec.initial_banks);
-    sim.warmup_secs = WARMUP;
-    sim.period_secs = PERIOD;
-    let mut cfg = spec.joint.expect("joint method carries a config");
-    cfg.period_secs = PERIOD;
-    let mut controller =
-        JointPolicy::try_with_telemetry(cfg, Telemetry::disabled()).expect("valid config");
     let plan = FaultPlan::disabled();
     let (injector, counts) = jpmd_faults::HwFaults::new(plan.disk, plan.banks, FaultRng::new(0));
-    let faulted = run_instrumented(
-        &sim,
-        spec.spindown.clone(),
-        &mut controller,
-        trace.source(),
-        DURATION,
-        &spec.label,
-        &Telemetry::disabled(),
-        Some(Box::new(injector)),
-    )
-    .expect("in-memory trace source");
+    let faulted = joint_by_hand(&scale, &trace, Some(Box::new(injector)));
     assert_eq!(plain, faulted, "noop injector changed the outcome");
     assert_eq!(counts.lock().unwrap().total(), 0);
 }

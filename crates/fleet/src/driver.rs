@@ -39,8 +39,10 @@ use jpmd_core::{
 use jpmd_disk::SpinDownPolicy;
 use jpmd_mem::IdlePolicy;
 use jpmd_obs::{CandidatePower, JsonlSink, Telemetry, WalPolicy};
-use jpmd_sim::{CheckpointOptions, CheckpointPolicy, SimCheckpoint, SimOutcome};
-use jpmd_trace::Trace;
+use jpmd_sim::{
+    CheckpointOptions, CheckpointPolicy, PeriodController, Replay, SimCheckpoint, SimOutcome,
+};
+use jpmd_trace::{SourceError, Trace};
 
 use crate::{partition, FleetReport, Partitioner};
 
@@ -202,6 +204,33 @@ fn collect_shard_results<R>(
     Ok(out)
 }
 
+/// A shard replay under a fleet-specific `controller` (the bidding and
+/// planned passes): the joint method's configuration — `Nap` memory, global
+/// LRU, controller-owned disk timeout — at the shard's bank slice.
+fn shard_replay<C: PeriodController>(
+    cfg: &FleetConfig,
+    label: &str,
+    controller: C,
+    trace: &Trace,
+    telemetry: &Telemetry,
+    resume: Option<&SimCheckpoint>,
+) -> Result<Replay<C>, SourceError> {
+    let mut sim = cfg.scale.sim_config(IdlePolicy::Nap, cfg.per_shard_banks());
+    sim.warmup_secs = cfg.warmup_secs;
+    sim.period_secs = cfg.period_secs;
+    Replay::new(
+        &sim,
+        SpinDownPolicy::controlled(f64::INFINITY),
+        controller,
+        trace.total_pages(),
+        cfg.duration_secs,
+        label,
+        telemetry,
+        None,
+        resume,
+    )
+}
+
 /// Pass 1: run every shard with a bidding joint policy (telemetry off, no
 /// checkpoints) and return its recorded per-period bids.
 fn bidding_pass(
@@ -218,20 +247,15 @@ fn bidding_pass(
         let policy = JointPolicy::try_with_telemetry(jcfg, Telemetry::disabled())
             .map_err(|e| e.to_string())?;
         let mut bidder = BiddingJointPolicy::new(policy);
-        methods::run_controller_checkpointed(
+        shard_replay(
+            cfg,
             &format!("fleet-bid-{shard}"),
-            &cfg.scale,
-            SpinDownPolicy::controlled(f64::INFINITY),
-            cfg.per_shard_banks(),
             &mut bidder,
-            trace.source(),
-            cfg.warmup_secs,
-            cfg.duration_secs,
-            cfg.period_secs,
+            trace,
             &Telemetry::disabled(),
             None,
-            None,
         )
+        .and_then(|replay| replay.run(trace.source()))
         .map_err(|e| e.to_string())?;
         Ok::<_, String>(bidder.into_bids())
     });
@@ -331,34 +355,26 @@ fn run_shard(cfg: &FleetConfig, mode: FleetMode, task: &ShardTask) -> Result<Sim
     });
 
     let outcome = match mode {
-        FleetMode::PerShardGreedy => methods::run_method_checkpointed(
+        FleetMode::PerShardGreedy => methods::replay(
             &greedy_spec(&cfg.scale, cfg.per_shard_banks()),
             &cfg.scale,
-            task.trace.source(),
+            task.trace.total_pages(),
             cfg.warmup_secs,
             cfg.duration_secs,
             cfg.period_secs,
             &telemetry,
             resume.as_ref(),
-            checkpoints,
-        ),
-        FleetMode::Coordinated => {
-            let mut controller = PlannedController::new(task.plan.clone().unwrap_or_default());
-            methods::run_controller_checkpointed(
-                &format!("fleet-{}", task.shard),
-                &cfg.scale,
-                SpinDownPolicy::controlled(f64::INFINITY),
-                cfg.per_shard_banks(),
-                &mut controller,
-                task.trace.source(),
-                cfg.warmup_secs,
-                cfg.duration_secs,
-                cfg.period_secs,
-                &telemetry,
-                resume.as_ref(),
-                checkpoints,
-            )
-        }
+        )
+        .and_then(|replay| replay.run_checkpointed(task.trace.source(), checkpoints)),
+        FleetMode::Coordinated => shard_replay(
+            cfg,
+            &format!("fleet-{}", task.shard),
+            PlannedController::new(task.plan.clone().unwrap_or_default()),
+            &task.trace,
+            &telemetry,
+            resume.as_ref(),
+        )
+        .and_then(|replay| replay.run_checkpointed(task.trace.source(), checkpoints)),
     }
     .map_err(|e| e.to_string())?;
     if let Some(saver) = saver.as_mut() {

@@ -36,15 +36,17 @@ fn capture(
 ) -> (Vec<ObsRecord>, jpmd_sim::RunReport) {
     let sink = MemorySink::new();
     let telemetry = Telemetry::new(Box::new(sink.clone()));
-    let report = methods::run_method_source_with(
+    let report = methods::replay(
         spec,
         scale,
-        trace.source(),
+        trace.total_pages(),
         WARMUP,
         DURATION,
         PERIOD,
         &telemetry,
+        None,
     )
+    .and_then(|replay| replay.run(trace.source()))
     .expect("in-memory trace source");
     (sink.records(), report)
 }
@@ -86,15 +88,17 @@ fn telemetry_does_not_perturb_the_report() {
             spec.label
         );
         let null = Telemetry::new(Box::new(NullSink));
-        let nulled = methods::run_method_source_with(
+        let nulled = methods::replay(
             &spec,
             &scale,
-            trace.source(),
+            trace.total_pages(),
             WARMUP,
             DURATION,
             PERIOD,
             &null,
+            None,
         )
+        .and_then(|replay| replay.run(trace.source()))
         .expect("in-memory trace source");
         assert_eq!(
             plain, nulled,
@@ -164,15 +168,17 @@ fn wall_clock_appears_only_with_an_injected_clock() {
 
     let sink = MemorySink::new();
     let telemetry = Telemetry::with_clock(Box::new(sink.clone()), Box::new(|| 1234));
-    methods::run_method_source_with(
+    methods::replay(
         &spec,
         &scale,
-        trace.source(),
+        trace.total_pages(),
         WARMUP,
         DURATION,
         PERIOD,
         &telemetry,
+        None,
     )
+    .and_then(|replay| replay.run(trace.source()))
     .expect("in-memory trace source");
     let stamped = sink.records();
     assert!(!stamped.is_empty());

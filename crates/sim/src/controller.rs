@@ -141,7 +141,8 @@ impl<C: PeriodController + ?Sized> PeriodController for &mut C {
 }
 
 /// Boxes delegate, so `Box<dyn PeriodController>` works where an owned
-/// controller is needed (the incremental `PolicyStepper`).
+/// controller is needed (a [`Replay`](crate::Replay) of one of the paper's
+/// named methods).
 impl<C: PeriodController + ?Sized> PeriodController for Box<C> {
     fn on_period_end(&mut self, observation: &PeriodObservation, log: &AccessLog) -> ControlAction {
         (**self).on_period_end(observation, log)
@@ -184,9 +185,8 @@ impl PeriodController for NullController {
 /// decisions are untouched, which is what keeps instrumented runs
 /// bit-identical to plain ones.
 ///
-/// Generic over the controller it owns: the batch simulation instantiates
-/// it with `&mut dyn PeriodController`, while a long-lived incremental
-/// stepper owns its controller outright.
+/// Generic over the controller it owns: [`Replay`](crate::Replay) wraps
+/// whatever controller its caller hands in, borrowed or owned outright.
 pub struct TimedController<C> {
     inner: C,
     spans: jpmd_obs::SpanRecorder,

@@ -182,10 +182,10 @@ impl CheckpointPolicy {
 /// every registered observer, in registration order.
 ///
 /// To resume: rebuild the identical source/hardware/observer stack, restore
-/// the hardware from [`EngineCheckpoint::hw`] and each observer from its
-/// entry in [`EngineCheckpoint::observers`], then pass the checkpoint to
-/// [`Engine::run_source_with_checkpoints`] — the engine restores its own
-/// fields and discards the already-consumed source pulls.
+/// the hardware from [`EngineCheckpoint::hw`], each observer from its entry
+/// in [`EngineCheckpoint::observers`] and the engine with
+/// [`Engine::restore`], then discard the already-consumed source pulls.
+/// [`Replay`](crate::Replay) is the one place that does this.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
     /// Engine counters at the capture instant (wall-clock fields are
@@ -228,7 +228,7 @@ pub const MAX_SOURCE_RETRIES: u32 = 8;
 ///
 /// * **Batch**: [`Engine::run_source`] / [`Engine::run_source_with_checkpoints`]
 ///   pull records from a [`TraceSource`] until the duration is reached.
-/// * **Incremental**: a long-lived owner (the `jpmd-core` `PolicyStepper`,
+/// * **Incremental**: a long-lived owner ([`Replay::feed`](crate::Replay::feed),
 ///   and through it the `jpmd-serve` daemon) feeds records one at a time
 ///   with [`Engine::step_record`], polls [`Engine::take_boundary`] for
 ///   period rollovers, captures checkpoints on demand with
@@ -315,15 +315,8 @@ impl Engine {
         hw: &mut HwState,
         observers: &mut [&mut dyn SimObserver],
     ) -> Result<EngineStats, SourceError> {
-        let run = self.run_source_with_checkpoints(
-            source,
-            duration,
-            hw,
-            observers,
-            None,
-            &mut |_| true,
-            None,
-        )?;
+        let run =
+            self.run_source_with_checkpoints(source, duration, hw, observers, None, &mut |_| true)?;
         debug_assert!(!run.interrupted, "no checkpoint policy can interrupt");
         Ok(run.stats)
     }
@@ -337,19 +330,16 @@ impl Engine {
     /// shutdown flag is set, the replay stops immediately (no trailing
     /// settle) and the run comes back with `interrupted = true`.
     ///
-    /// When `resume` is given the engine restores its own counters and
-    /// clock from the checkpoint and discards the checkpoint's
-    /// [`EngineStats::records_pulled`] source pulls before replaying; the
-    /// caller must have restored the hardware and every observer from the
-    /// checkpoint's images first (see
-    /// [`run_simulation_full`](crate::run_simulation_full), which does all
-    /// of this). The resumed run's final stats and observer state are
-    /// bit-identical to the uninterrupted run's.
+    /// To resume, restore the engine ([`Engine::restore`]), the hardware
+    /// and every observer from the checkpoint's images, and discard the
+    /// checkpoint's [`EngineStats::records_pulled`] source pulls before
+    /// calling this ([`Replay`](crate::Replay) does all of this). The
+    /// resumed run's final stats and observer state are bit-identical to
+    /// the uninterrupted run's.
     ///
     /// # Errors
     ///
     /// Propagates source errors exactly like [`Engine::run_source`].
-    #[allow(clippy::too_many_arguments)]
     pub fn run_source_with_checkpoints<S: TraceSource>(
         mut self,
         mut source: S,
@@ -358,19 +348,8 @@ impl Engine {
         observers: &mut [&mut dyn SimObserver],
         policy: Option<&CheckpointPolicy>,
         on_checkpoint: &mut dyn FnMut(EngineCheckpoint) -> bool,
-        resume: Option<&EngineCheckpoint>,
     ) -> Result<EngineRun, SourceError> {
         let wall = Instant::now();
-        if let Some(ckpt) = resume {
-            self.restore(ckpt);
-            // Skip what the interrupted run already consumed. Every
-            // `Some(_)` counts one pull — replayed, retried, dropped, or
-            // clamped — so the restored stats already account for these.
-            let mut discard = ckpt.stats.records_pulled;
-            while discard > 0 && source.next_record().is_some() {
-                discard -= 1;
-            }
-        }
         let mut consecutive_retries = 0u32;
         while let Some(next) = source.next_record() {
             let record = match next {
@@ -435,7 +414,8 @@ impl Engine {
     /// the caller should stop feeding and call [`Engine::finish`].
     ///
     /// This is the single per-record step both the batch loop and the
-    /// incremental `PolicyStepper` drive, so the two are bit-identical.
+    /// incremental [`Replay::feed`](crate::Replay::feed) drive, so the two
+    /// are bit-identical.
     ///
     /// The first call turns on the memory's stack profiling when any
     /// observer [reads the access log](SimObserver::reads_access_log).

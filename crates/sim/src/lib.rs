@@ -20,10 +20,11 @@
 //!                               (joint policy: resize + timeout)
 //! ```
 //!
-//! [`run_simulation`] executes one method over one trace and returns a
-//! [`RunReport`] with the exact metrics the paper's figures plot: energy
-//! split by component, average latency, disk utilization, long-latency
-//! request rate, and per-period time series.
+//! [`Replay`] is the one replay stack: it runs one method over one trace
+//! (batch, or fed record by record) and returns a [`RunReport`] with the
+//! exact metrics the paper's figures plot: energy split by component,
+//! average latency, disk utilization, long-latency request rate, and
+//! per-period time series. [`run_simulation`] is its in-memory shorthand.
 //!
 //! # Example
 //!
@@ -96,8 +97,8 @@ pub use observers::{
     TelemetryObserver, WarmupWindow,
 };
 pub use system::{
-    run_simulation, run_simulation_full, run_simulation_source, run_simulation_source_with,
-    CheckpointOptions, SimCheckpoint, SimOutcome,
+    run_simulation, run_simulation_source, CheckpointOptions, FeedOutcome, Replay, SimCheckpoint,
+    SimOutcome,
 };
 
 // Re-exported so downstream callers can build configurations without

@@ -1,7 +1,7 @@
 //! The standard observer stack: the components that used to be inline
 //! state in the monolithic replay loop, each now owning one concern.
 //!
-//! [`run_simulation`](crate::run_simulation) registers them in a
+//! [`Replay`](crate::Replay) registers them in a
 //! **load-bearing order** — `[WarmupWindow, PeriodAccounting, FlushDaemon,
 //! LatencyTracker, EnergyMeter]` — because the engine fires same-instant
 //! timers in registration order. That reproduces the legacy loop's
@@ -81,10 +81,11 @@ impl SimObserver for WarmupWindow {
 /// (memory resize, disk timeout) to the hardware, records the
 /// [`PeriodRow`], and emits [`SimEvent::PeriodBoundary`].
 ///
-/// Generic over the controller: the batch simulation wires it with
-/// `&mut dyn PeriodController`, the incremental `PolicyStepper` owns its
-/// controller outright (both satisfy [`PeriodController`] via the blanket
-/// impls in the controller module).
+/// Generic over the controller: [`Replay`](crate::Replay) wires it with
+/// whatever its caller hands in — a borrowed `&mut dyn PeriodController`,
+/// a `Box<dyn PeriodController>`, or a concrete controller owned outright
+/// (all satisfy [`PeriodController`] via the blanket impls in the
+/// controller module).
 ///
 /// [`ControlAction`]: crate::ControlAction
 pub struct PeriodAccounting<C> {
@@ -554,7 +555,7 @@ impl SimObserver for EnergyMeter {
 /// boundary carrying the period's traffic deltas and energy.
 ///
 /// Purely passive — it only reads the hardware state — so registering it
-/// cannot perturb the simulation; `run_simulation_source_with` registers
+/// cannot perturb the simulation; [`Replay`](crate::Replay) registers
 /// it **last** (after the standard stack) and only when the telemetry
 /// handle is enabled, keeping the disabled path free of it entirely.
 pub struct TelemetryObserver {

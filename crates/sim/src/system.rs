@@ -1,17 +1,23 @@
-//! The top-level single-disk simulation entry point: wires the standard
-//! observer stack to the event-driven [`Engine`] and assembles the
-//! [`RunReport`].
+//! The single-disk replay stack. [`Replay`] wires the standard observer
+//! stack to the event-driven [`Engine`] once. Every replay goes through
+//! it: batch runs over a [`TraceSource`] ([`Replay::run`],
+//! [`Replay::run_checkpointed`]), the record-by-record stepper
+//! ([`Replay::feed`], [`Replay::finish`]), resume from a
+//! [`SimCheckpoint`], and fault injection. Both drivers close with the
+//! same report assembly.
+
+use std::time::Instant;
 
 use jpmd_disk::SpinDownPolicy;
-use jpmd_obs::{ObsEvent, SpanRecorder, Telemetry};
-use jpmd_trace::{SourceError, Trace, TraceSource};
+use jpmd_obs::{ObsEvent, SpanGuard, SpanRecorder, Telemetry};
+use jpmd_trace::{SourceError, Trace, TraceRecord, TraceSource};
 use serde::{Deserialize, Serialize};
 
 use crate::{
     engine::{CheckpointPolicy, EngineCheckpoint},
-    EnergyMeter, Engine, FaultInjector, FlushDaemon, HwState, LatencyTracker, PeriodAccounting,
-    PeriodController, RunReport, SimConfig, SimObserver, TelemetryObserver, TimedController,
-    WarmupWindow,
+    EnergyMeter, Engine, EngineStats, FaultInjector, FlushDaemon, HwState, LatencyTracker,
+    PeriodAccounting, PeriodController, PeriodRow, RunReport, SimConfig, SimObserver,
+    TelemetryObserver, TimedController, WarmupWindow,
 };
 
 /// A crash-consistent image of a full simulation run in flight: the
@@ -81,7 +87,7 @@ impl SimOutcome {
     }
 }
 
-/// Checkpointing configuration for [`run_simulation_full`]: when to
+/// Checkpointing configuration for [`Replay::run_checkpointed`]: when to
 /// capture, and where captured checkpoints go. The callback returns
 /// whether the run should continue (`false` stops it, leaving the
 /// just-delivered checkpoint as the resume point).
@@ -92,8 +98,22 @@ pub struct CheckpointOptions<'a> {
     pub on_checkpoint: &'a mut dyn FnMut(SimCheckpoint) -> bool,
 }
 
-/// Wraps a checkpoint-restore decode failure as a [`SourceError`] so the
-/// unified entry point keeps a single error type.
+/// What [`Replay::feed`] did with a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FeedOutcome {
+    /// The record entered the replay (it may still have been dropped or
+    /// clamped by the engine's sanitization; see [`EngineStats`]).
+    Replayed,
+    /// The record was discarded as part of a resumed run's already-consumed
+    /// prefix (the stream must be replayed from its start after a resume).
+    Skipped,
+    /// The record's timestamp is at or past the configured duration; the
+    /// run is over and further feeds are ignored. Call [`Replay::finish`].
+    Finished,
+}
+
+/// Wraps a checkpoint-restore decode failure as a [`SourceError`] so every
+/// replay keeps a single error type.
 fn restore_error(e: serde::Error) -> SourceError {
     SourceError::new(std::io::Error::new(
         std::io::ErrorKind::InvalidData,
@@ -101,28 +121,432 @@ fn restore_error(e: serde::Error) -> SourceError {
     ))
 }
 
-/// Runs one complete system simulation: the trace drives the disk cache,
-/// cache misses drive the disk, and the controller is invoked at every
-/// period boundary (paper Fig. 6(b) pipeline).
+/// The standard observers of one run.
+struct Observers<C: PeriodController> {
+    warmup: WarmupWindow,
+    periods: PeriodAccounting<TimedController<C>>,
+    flush: FlushDaemon,
+    latency: LatencyTracker,
+    energy: EnergyMeter,
+    /// Registered only when the run's telemetry is enabled.
+    telemetry: Option<TelemetryObserver>,
+}
+
+impl<C: PeriodController> Observers<C> {
+    /// Lends the stack to `f` as the engine's observer slice.
+    ///
+    /// Registration order is load-bearing: same-instant timers fire in
+    /// this order (warm-up snapshot, then period row, then sync tick), and
+    /// checkpoint observer images are stored in it. The passive telemetry
+    /// observer goes last, after the components that settle the hardware.
+    fn with<R>(&mut self, f: impl FnOnce(&mut [&mut dyn SimObserver]) -> R) -> R {
+        let Observers {
+            warmup,
+            periods,
+            flush,
+            latency,
+            energy,
+            telemetry,
+        } = self;
+        match telemetry {
+            Some(telemetry) => f(&mut [warmup, periods, flush, latency, energy, telemetry]),
+            None => f(&mut [warmup, periods, flush, latency, energy]),
+        }
+    }
+}
+
+/// One simulation run (paper Fig. 6(b) pipeline): the hardware, the
+/// engine, the standard observers — [`WarmupWindow`], [`PeriodAccounting`]
+/// around a [`TimedController`], [`FlushDaemon`], [`LatencyTracker`],
+/// [`EnergyMeter`] and, with telemetry on, a [`TelemetryObserver`] — and
+/// the run's spans and telemetry handle.
 ///
-/// * Each trace record's pages are looked up in the cache in order; missed
-///   pages are coalesced into contiguous runs, each becoming one disk
-///   request (this is what gives the disk its request-size mix).
-/// * Hits have zero latency; every page of a missed run inherits the run's
-///   request latency (queueing + spin-up + service). Accesses with latency
-///   above the configured threshold count as *long-latency* (paper: 0.5 s).
-/// * Metrics and energy cover the window after `config.warmup_secs`;
-///   per-period rows cover the whole run.
+/// Built once, fresh or from a [`SimCheckpoint`], then driven in batch
+/// over a [`TraceSource`] ([`Replay::run`], [`Replay::run_checkpointed`])
+/// or fed one record at a time ([`Replay::feed`], closed by
+/// [`Replay::finish`]). Both drivers take the same per-record step
+/// ([`Engine::step_record`]), so they produce the same [`RunReport`], and
+/// a checkpoint captured under either resumes under either.
 ///
-/// The trace is open-loop, as in the paper: request arrival times are fixed
-/// by the trace and do not shift when requests are delayed.
-///
-/// Internally this is a thin dispatcher: it builds the [`HwState`],
-/// registers the standard observers — [`WarmupWindow`],
-/// [`PeriodAccounting`], [`FlushDaemon`], [`LatencyTracker`],
-/// [`EnergyMeter`], in that (load-bearing) order — and hands the replay to
-/// [`Engine::run`]. All simulation state lives in those components; see
-/// [`crate::engine`] and [`crate::observers`].
+/// Missed pages of a record coalesce into contiguous disk requests; every
+/// page of a missed run inherits its request's latency, and accesses above
+/// the configured threshold count as *long-latency* (paper: 0.5 s).
+/// Metrics and energy cover the window after `config.warmup_secs`;
+/// per-period rows cover the whole run. The trace is open-loop, as in the
+/// paper. Telemetry never changes the report: the telemetry observer only
+/// reads hardware state, and span wall-clock fields are excluded from
+/// report equality (the `determinism` tests in `jpmd-obs`).
+pub struct Replay<C: PeriodController> {
+    label: String,
+    duration: f64,
+    config: SimConfig,
+    telemetry: Telemetry,
+    spans: SpanRecorder,
+    replay_span: Option<SpanGuard>,
+    started: Instant,
+    hw: HwState,
+    engine: Engine,
+    observers: Observers<C>,
+    /// Records of a resumed run's already-replayed prefix still to discard.
+    discard_remaining: u64,
+    live: bool,
+}
+
+impl<C: PeriodController> Replay<C> {
+    /// A run of `duration` seconds (stream time) over `config` with the
+    /// owned `controller`, for a page space of `total_pages`.
+    ///
+    /// `injector` goes into the hardware before a resume restores the
+    /// hardware image, which carries the injector's state. `resume`
+    /// continues an interrupted run: rebuild it from the *same*
+    /// configuration, spin-down policy, controller type, page space,
+    /// injector construction and record stream, since the checkpoint
+    /// carries only dynamic state. No second `RunStart` is emitted, the
+    /// telemetry sequence and span call counts continue from the
+    /// checkpoint, and the first [`EngineStats::records_pulled`] records of
+    /// the stream are discarded, so the caller replays it from its start.
+    /// The report and the normalized telemetry stream then equal the
+    /// uninterrupted run's.
+    ///
+    /// # Errors
+    ///
+    /// A resume checkpoint captured from another label or duration, or
+    /// whose images do not decode against this stack, fails with a
+    /// [`SourceError`] wrapping the mismatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid or `duration` does not
+    /// exceed the warm-up.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        config: &SimConfig,
+        spindown: SpinDownPolicy,
+        controller: C,
+        total_pages: u64,
+        duration: f64,
+        label: &str,
+        telemetry: &Telemetry,
+        injector: Option<Box<dyn FaultInjector>>,
+        resume: Option<&SimCheckpoint>,
+    ) -> Result<Self, SourceError> {
+        config.validate();
+        assert!(
+            duration > config.warmup_secs,
+            "duration must exceed the warm-up window"
+        );
+        let spans = SpanRecorder::new();
+        match resume {
+            Some(ckpt) => {
+                ckpt.check_resumes(label, duration)?;
+                telemetry.set_seq(ckpt.telemetry_seq);
+                spans.seed_calls(&ckpt.span_calls);
+            }
+            None => telemetry.emit_with(|| ObsEvent::RunStart {
+                label: label.to_string(),
+                duration_s: duration,
+            }),
+        }
+        let mut hw = HwState::new(config, spindown, total_pages.max(1));
+        if let Some(injector) = injector {
+            hw.set_fault_injector(injector);
+        }
+        let observers = Observers {
+            warmup: WarmupWindow::new(config.warmup_secs),
+            periods: PeriodAccounting::new(
+                TimedController::new(controller, spans.clone(), telemetry.clone()),
+                config.period_secs,
+                config.aggregation_window_secs,
+                config.long_latency_secs,
+            ),
+            flush: FlushDaemon::new(config.sync_interval_secs),
+            latency: LatencyTracker::new(config.warmup_secs, config.long_latency_secs),
+            energy: EnergyMeter::new(),
+            telemetry: telemetry
+                .is_enabled()
+                .then(|| TelemetryObserver::new(telemetry)),
+        };
+        let mut replay = Replay {
+            label: label.to_string(),
+            duration,
+            config: *config,
+            telemetry: telemetry.clone(),
+            replay_span: Some(spans.time_with("engine.replay", telemetry)),
+            spans,
+            started: Instant::now(),
+            hw,
+            engine: Engine::with_metrics(telemetry.registry()),
+            observers,
+            discard_remaining: 0,
+            live: true,
+        };
+        if let Some(ckpt) = resume {
+            replay
+                .hw
+                .restore_state(&ckpt.engine.hw)
+                .map_err(restore_error)?;
+            replay.observers.with(|observers| {
+                if ckpt.engine.observers.len() != observers.len() {
+                    return Err(restore_error(serde::Error::custom(format!(
+                        "checkpoint holds {} observer images but this run registers {} \
+                         observers (was telemetry toggled between capture and resume?)",
+                        ckpt.engine.observers.len(),
+                        observers.len()
+                    ))));
+                }
+                for (observer, state) in observers.iter_mut().zip(&ckpt.engine.observers) {
+                    observer.restore_state(state).map_err(restore_error)?;
+                }
+                Ok(())
+            })?;
+            replay.engine.restore(&ckpt.engine);
+            replay.discard_remaining = ckpt.engine.stats.records_pulled;
+        }
+        Ok(replay)
+    }
+
+    /// Consumes one record of a resumed run's already-replayed prefix:
+    /// true while there are records left to discard. The restored stats
+    /// already count every pull of that prefix — replayed, retried,
+    /// dropped or clamped.
+    fn discard(&mut self) -> bool {
+        let discard = self.discard_remaining > 0;
+        if discard {
+            self.discard_remaining -= 1;
+        }
+        discard
+    }
+
+    /// Replays `source` to the end of the run and returns the report.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first non-transient [`SourceError`] the source
+    /// yields; no report is produced for a failed replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source's page size differs from the configuration's.
+    pub fn run<S: TraceSource>(self, source: S) -> Result<RunReport, SourceError> {
+        match self.run_checkpointed(source, None)? {
+            SimOutcome::Completed(report) => Ok(*report),
+            SimOutcome::Interrupted => unreachable!("no checkpoint policy was installed"),
+        }
+    }
+
+    /// Like [`Replay::run`], capturing checkpoints per `checkpoints`. An
+    /// interrupted run returns [`SimOutcome::Interrupted`] without a report
+    /// (the callback has already seen the resume point).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first non-transient [`SourceError`] the source
+    /// yields.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source's page size differs from the configuration's.
+    pub fn run_checkpointed<S: TraceSource>(
+        mut self,
+        mut source: S,
+        checkpoints: Option<CheckpointOptions<'_>>,
+    ) -> Result<SimOutcome, SourceError> {
+        assert_eq!(
+            source.page_bytes(),
+            self.config.mem.page_bytes,
+            "trace and memory must agree on the page size"
+        );
+        while self.discard() && source.next_record().is_some() {}
+        let (policy, mut on_checkpoint) = match checkpoints {
+            Some(options) => (Some(options.policy), Some(options.on_checkpoint)),
+            None => (None, None),
+        };
+        let mut forward = |engine: EngineCheckpoint| match on_checkpoint.as_mut() {
+            Some(callback) => callback(SimCheckpoint {
+                label: self.label.clone(),
+                duration: self.duration,
+                telemetry_seq: self.telemetry.seq(),
+                span_calls: self.spans.call_counts(),
+                engine,
+            }),
+            None => true,
+        };
+        let (engine, hw) = (std::mem::take(&mut self.engine), &mut self.hw);
+        let run = self.observers.with(|observers| {
+            engine.run_source_with_checkpoints(
+                source,
+                self.duration,
+                hw,
+                observers,
+                policy.as_ref(),
+                &mut forward,
+            )
+        })?;
+        if run.interrupted {
+            return Ok(SimOutcome::Interrupted);
+        }
+        Ok(SimOutcome::Completed(Box::new(self.into_report(run.stats))))
+    }
+
+    /// Feeds one record: fires due timers (period rollovers, warm-up end,
+    /// sync ticks) and replays its accesses. Returns what happened; after
+    /// [`FeedOutcome::Finished`] further feeds are no-ops.
+    pub fn feed(&mut self, record: TraceRecord) -> FeedOutcome {
+        if !self.live {
+            return FeedOutcome::Finished;
+        }
+        if self.discard() {
+            return FeedOutcome::Skipped;
+        }
+        let (engine, hw) = (&mut self.engine, &mut self.hw);
+        if self
+            .observers
+            .with(|observers| engine.step_record(record, self.duration, hw, observers))
+        {
+            FeedOutcome::Replayed
+        } else {
+            self.live = false;
+            FeedOutcome::Finished
+        }
+    }
+
+    /// Captures a crash-consistent checkpoint of the whole stack at the
+    /// replay clock's current instant — the same [`SimCheckpoint`] the
+    /// batch driver hands its checkpoint callback.
+    pub fn checkpoint(&mut self) -> SimCheckpoint {
+        let (engine, hw) = (&self.engine, &self.hw);
+        SimCheckpoint {
+            label: self.label.clone(),
+            duration: self.duration,
+            telemetry_seq: self.telemetry.seq(),
+            span_calls: self.spans.call_counts(),
+            engine: self.observers.with(|obs| engine.capture_now(hw, obs)),
+        }
+    }
+
+    /// Closes out a fed run: fires all timers due by the configured
+    /// duration, settles the hardware, and returns the report.
+    pub fn finish(mut self) -> RunReport {
+        let wall = self.started.elapsed().as_secs_f64();
+        let (engine, hw) = (std::mem::take(&mut self.engine), &mut self.hw);
+        let stats = self
+            .observers
+            .with(|observers| engine.finish(self.duration, hw, observers, wall));
+        self.into_report(stats)
+    }
+
+    /// Finalizes latency and energy over the measured window, assembles
+    /// the report, emits `RunEnd` and closes the telemetry handle (which
+    /// surfaces any records the sink dropped on write errors).
+    fn into_report(mut self, stats: EngineStats) -> RunReport {
+        drop(self.replay_span.take());
+        let window = self.duration - self.config.warmup_secs;
+        let (traffic, lat) = {
+            let _finalize = self.spans.time_with("report.finalize", &self.telemetry);
+            let energy = self.observers.energy.finalize(&self.hw, window);
+            (energy, self.observers.latency.finalize())
+        };
+        // Callers keep reports by the hundred: release the run's working
+        // memory first, then copy the kept vectors to exact size, so they pack
+        // together instead of pinning the heap between the next run's buffers.
+        drop(self.hw);
+        let mut engine = stats;
+        engine.period_log = engine.period_log.to_vec();
+        let report = RunReport {
+            label: self.label,
+            duration_secs: window,
+            energy: traffic.energy,
+            cache_accesses: traffic.cache_accesses,
+            hits: traffic.hits,
+            disk_page_accesses: traffic.disk_page_accesses,
+            disk_requests: traffic.disk_requests,
+            mean_latency_secs: lat.mean_latency_secs,
+            request_latency_p50_secs: lat.request_latency_p50_secs,
+            request_latency_p99_secs: lat.request_latency_p99_secs,
+            max_latency_secs: lat.max_latency_secs,
+            long_latency_count: lat.long_latency_count,
+            utilization: traffic.utilization,
+            spin_downs: traffic.spin_downs,
+            periods: self.observers.periods.into_rows().to_vec(),
+            engine,
+            spans: self.spans.snapshot(),
+        };
+        self.telemetry.emit_with(|| ObsEvent::RunEnd {
+            label: report.label.clone(),
+            periods: report.periods.len() as u64,
+            events: report.engine.events_processed,
+        });
+        self.telemetry.close();
+        report
+    }
+
+    /// All period rows closed so far (observation + the control action
+    /// the policy took).
+    pub fn rows(&self) -> &[PeriodRow] {
+        self.observers.periods.rows()
+    }
+
+    /// Whether the run still accepts fed records (false once a fed record
+    /// reached the configured duration).
+    pub fn is_live(&self) -> bool {
+        self.live
+    }
+
+    /// The replay clock: timestamp of the last replayed record, s.
+    pub fn sim_time(&self) -> f64 {
+        self.engine.last_time()
+    }
+
+    /// Source pulls consumed so far (the resume cursor).
+    pub fn records_pulled(&self) -> u64 {
+        self.engine.stats().records_pulled
+    }
+
+    /// Banks currently enabled.
+    pub fn enabled_banks(&self) -> u32 {
+        self.hw.mem.enabled_banks()
+    }
+
+    /// Total banks in the configuration.
+    pub fn total_banks(&self) -> u32 {
+        self.config.mem.total_banks
+    }
+
+    /// The disk spin-down timeout currently in force, s.
+    pub fn disk_timeout(&self) -> f64 {
+        self.hw.disk.timeout()
+    }
+
+    /// Total (memory + disk) energy accrued so far, J, as of the last
+    /// settled instant (the most recent period boundary or warm-up end).
+    /// Reading it never perturbs the replay.
+    pub fn energy_so_far_j(&self) -> f64 {
+        self.hw.snapshot_energy().total_j()
+    }
+
+    /// The page size the run simulates, bytes.
+    pub fn page_bytes(&self) -> u64 {
+        self.config.mem.page_bytes
+    }
+
+    /// The run's label.
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// The controller driving the period decisions.
+    pub fn controller(&self) -> &C {
+        self.observers.periods.controller().inner()
+    }
+
+    /// The controller, mutably.
+    pub fn controller_mut(&mut self) -> &mut C {
+        self.observers.periods.controller_mut().inner_mut()
+    }
+}
+
+/// Runs one complete system simulation over an in-memory trace: a
+/// [`Replay`] with telemetry off, no injector and no checkpoints.
 ///
 /// # Panics
 ///
@@ -170,246 +594,12 @@ pub fn run_simulation_source<S: TraceSource>(
     duration: f64,
     label: &str,
 ) -> Result<RunReport, SourceError> {
-    run_simulation_source_with(
-        config,
-        spindown,
-        controller,
-        source,
-        duration,
-        label,
-        &Telemetry::disabled(),
-    )
-}
-
-/// Like [`run_simulation_source`], with telemetry: run lifecycle, per-period
-/// traffic, and span-timing events are emitted through `telemetry`, and the
-/// engine publishes its end-of-run counters into the handle's metrics
-/// registry.
-///
-/// The instrumentation is overhead-honest: with a disabled handle this *is*
-/// [`run_simulation_source`] (which delegates here), and with any sink the
-/// returned [`RunReport`] is bit-identical to the uninstrumented run — the
-/// telemetry observer only reads hardware state, and span wall-clock fields
-/// are excluded from report equality. Asserted by the `determinism`
-/// integration tests in `jpmd-obs`.
-///
-/// # Errors
-///
-/// Propagates the first [`SourceError`] the source yields.
-///
-/// # Panics
-///
-/// Panics if the source's page size differs from the memory
-/// configuration's, or if `duration` does not exceed the warm-up.
-#[allow(clippy::too_many_arguments)]
-pub fn run_simulation_source_with<S: TraceSource>(
-    config: &SimConfig,
-    spindown: SpinDownPolicy,
-    controller: &mut dyn PeriodController,
-    source: S,
-    duration: f64,
-    label: &str,
-    telemetry: &Telemetry,
-) -> Result<RunReport, SourceError> {
-    match run_simulation_full(
-        config, spindown, controller, source, duration, label, telemetry, None, None, None,
-    )? {
-        SimOutcome::Completed(report) => Ok(*report),
-        SimOutcome::Interrupted => unreachable!("no checkpoint policy was installed"),
-    }
-}
-
-/// The fully-featured entry point behind every `run_simulation*` wrapper:
-/// telemetry, fault injection, crash-consistent checkpointing, and
-/// resume-from-checkpoint in one wiring of the standard observer stack.
-///
-/// * `injector` — an optional [`FaultInjector`] installed into the
-///   hardware before the replay (what `jpmd-faults` uses; `None` for
-///   healthy hardware).
-/// * `resume` — continue an interrupted run from its [`SimCheckpoint`].
-///   The *same* configuration, spin-down policy, controller type, source,
-///   and injector construction must be supplied; the checkpoint carries
-///   only dynamic state. No `RunStart` is re-emitted, the telemetry
-///   sequence counter fast-forwards to the checkpoint's, and span call
-///   counts are pre-seeded, so the resumed run's report — and its
-///   normalized telemetry stream — is bit-identical to the uninterrupted
-///   run's.
-/// * `checkpoints` — capture checkpoints per its policy and hand them to
-///   its callback; see [`CheckpointOptions`].
-///
-/// Completed runs close the telemetry handle ([`Telemetry::close`]), which
-/// surfaces any records the sink dropped on write errors; interrupted runs
-/// return [`SimOutcome::Interrupted`] immediately without a report (the
-/// checkpoint callback has already seen the resume point).
-///
-/// # Errors
-///
-/// Propagates the first [`SourceError`] the source yields. A resume
-/// checkpoint captured from another label or duration, or whose images do
-/// not decode against this run's observer stack, fails with a
-/// `SourceError` wrapping the mismatch.
-///
-/// # Panics
-///
-/// Panics if the source's page size differs from the memory
-/// configuration's, or if `duration` does not exceed the warm-up.
-#[allow(clippy::too_many_arguments)]
-pub fn run_simulation_full<S: TraceSource>(
-    config: &SimConfig,
-    spindown: SpinDownPolicy,
-    controller: &mut dyn PeriodController,
-    source: S,
-    duration: f64,
-    label: &str,
-    telemetry: &Telemetry,
-    injector: Option<Box<dyn FaultInjector>>,
-    resume: Option<&SimCheckpoint>,
-    checkpoints: Option<CheckpointOptions<'_>>,
-) -> Result<SimOutcome, SourceError> {
-    config.validate();
-    assert_eq!(
-        source.page_bytes(),
-        config.mem.page_bytes,
-        "trace and memory must agree on the page size"
-    );
-    assert!(
-        duration > config.warmup_secs,
-        "duration must exceed the warm-up window"
-    );
-    if let Some(ckpt) = resume {
-        ckpt.check_resumes(label, duration)?;
-    }
-
-    let spans = SpanRecorder::new();
-    if let Some(ckpt) = resume {
-        // Continue the interrupted stream: no second RunStart, the next
-        // event gets the next sequence number, spans keep their counts.
-        telemetry.set_seq(ckpt.telemetry_seq);
-        spans.seed_calls(&ckpt.span_calls);
-    } else {
-        telemetry.emit_with(|| ObsEvent::RunStart {
-            label: label.to_string(),
-            duration_s: duration,
-        });
-    }
-
-    let mut hw = HwState::new(config, spindown, source.total_pages().max(1));
-    if let Some(injector) = injector {
-        hw.set_fault_injector(injector);
-    }
-    let mut timed = TimedController::new(controller, spans.clone(), telemetry.clone());
-    let mut warmup = WarmupWindow::new(config.warmup_secs);
-    let mut periods = PeriodAccounting::new(
-        &mut timed,
-        config.period_secs,
-        config.aggregation_window_secs,
-        config.long_latency_secs,
-    );
-    let mut flush = FlushDaemon::new(config.sync_interval_secs);
-    let mut latency = LatencyTracker::new(config.warmup_secs, config.long_latency_secs);
-    let mut energy = EnergyMeter::new();
-    let mut observer = TelemetryObserver::new(telemetry);
-
-    let (policy, mut on_checkpoint) = match checkpoints {
-        Some(options) => (Some(options.policy), Some(options.on_checkpoint)),
-        None => (None, None),
-    };
-
-    let run = {
-        // Registration order is load-bearing: same-instant timers fire in
-        // this order (warm-up snapshot, then period row, then sync tick).
-        // The telemetry observer goes last — it is purely passive, so its
-        // position only matters in that it must see events after the
-        // components that settle the hardware. Checkpoint observer images
-        // are stored in this same order.
-        let mut observers: Vec<&mut dyn SimObserver> = vec![
-            &mut warmup,
-            &mut periods,
-            &mut flush,
-            &mut latency,
-            &mut energy,
-        ];
-        if telemetry.is_enabled() {
-            observers.push(&mut observer);
-        }
-        if let Some(ckpt) = resume {
-            hw.restore_state(&ckpt.engine.hw).map_err(restore_error)?;
-            if ckpt.engine.observers.len() != observers.len() {
-                return Err(restore_error(serde::Error::custom(format!(
-                    "checkpoint holds {} observer images but this run registers {} observers \
-                     (was telemetry toggled between capture and resume?)",
-                    ckpt.engine.observers.len(),
-                    observers.len()
-                ))));
-            }
-            for (observer, state) in observers.iter_mut().zip(&ckpt.engine.observers) {
-                observer.restore_state(state).map_err(restore_error)?;
-            }
-        }
-        let mut forward = |engine: EngineCheckpoint| -> bool {
-            match on_checkpoint.as_mut() {
-                Some(callback) => callback(SimCheckpoint {
-                    label: label.to_string(),
-                    duration,
-                    telemetry_seq: telemetry.seq(),
-                    span_calls: spans.call_counts(),
-                    engine,
-                }),
-                None => true,
-            }
-        };
-        let _replay = spans.time_with("engine.replay", telemetry);
-        Engine::with_metrics(telemetry.registry()).run_source_with_checkpoints(
-            source,
-            duration,
-            &mut hw,
-            &mut observers,
-            policy.as_ref(),
-            &mut forward,
-            resume.map(|ckpt| &ckpt.engine),
-        )?
-    };
-    if run.interrupted {
-        return Ok(SimOutcome::Interrupted);
-    }
-
-    let window = duration - config.warmup_secs;
-    let (traffic, lat) = {
-        let _finalize = spans.time_with("report.finalize", telemetry);
-        (energy.finalize(&hw, window), latency.finalize())
-    };
-    // Callers keep reports by the hundred: release the run's working
-    // memory first, then copy the kept vectors to exact size, so they pack
-    // together instead of pinning the heap between the next run's buffers.
-    drop(hw);
-    let mut engine_stats = run.stats;
-    engine_stats.period_log = engine_stats.period_log.to_vec();
-    let report = RunReport {
-        label: label.to_string(),
-        duration_secs: window,
-        energy: traffic.energy,
-        cache_accesses: traffic.cache_accesses,
-        hits: traffic.hits,
-        disk_page_accesses: traffic.disk_page_accesses,
-        disk_requests: traffic.disk_requests,
-        mean_latency_secs: lat.mean_latency_secs,
-        request_latency_p50_secs: lat.request_latency_p50_secs,
-        request_latency_p99_secs: lat.request_latency_p99_secs,
-        max_latency_secs: lat.max_latency_secs,
-        long_latency_count: lat.long_latency_count,
-        utilization: traffic.utilization,
-        spin_downs: traffic.spin_downs,
-        periods: periods.into_rows().to_vec(),
-        engine: engine_stats,
-        spans: spans.snapshot(),
-    };
-    telemetry.emit_with(|| ObsEvent::RunEnd {
-        label: report.label.clone(),
-        periods: report.periods.len() as u64,
-        events: report.engine.events_processed,
-    });
-    telemetry.close();
-    Ok(SimOutcome::Completed(Box::new(report)))
+    let pages = source.total_pages();
+    let telemetry = Telemetry::disabled();
+    Replay::new(
+        config, spindown, controller, pages, duration, label, &telemetry, None, None,
+    )?
+    .run(source)
 }
 
 #[cfg(test)]

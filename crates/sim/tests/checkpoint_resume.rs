@@ -7,10 +7,12 @@ use jpmd_disk::SpinDownPolicy;
 use jpmd_mem::{AccessLog, IdlePolicy, MemConfig, RdramModel};
 use jpmd_obs::{MemorySink, Telemetry};
 use jpmd_sim::{
-    run_simulation_full, run_simulation_source_with, CheckpointOptions, CheckpointPolicy,
-    ControlAction, PeriodController, PeriodObservation, SimCheckpoint, SimConfig, SimOutcome,
+    CheckpointOptions, CheckpointPolicy, ControlAction, PeriodController, PeriodObservation,
+    Replay, SimCheckpoint, SimConfig, SimOutcome,
 };
-use jpmd_trace::{AccessKind, FileId, Trace, TraceRecord, WorkloadBuilder, MIB};
+use jpmd_trace::{
+    AccessKind, FileId, SourceError, Trace, TraceRecord, TraceSource, WorkloadBuilder, MIB,
+};
 use serde::{Deserialize, Serialize};
 
 fn config() -> SimConfig {
@@ -69,13 +71,41 @@ impl PeriodController for Oscillator {
     }
 }
 
+/// Replays `source` as run `label` of `duration` s under [`config`] with a
+/// fresh [`Oscillator`], resuming from `resume` and handing checkpoints
+/// captured per `checkpoints` to its callback.
+fn run<S: TraceSource>(
+    source: S,
+    (label, duration): (&str, f64),
+    telemetry: &Telemetry,
+    resume: Option<&SimCheckpoint>,
+    checkpoints: Option<(CheckpointPolicy, &mut dyn FnMut(SimCheckpoint) -> bool)>,
+) -> Result<SimOutcome, SourceError> {
+    Replay::new(
+        &config(),
+        SpinDownPolicy::controlled(f64::INFINITY),
+        Oscillator::default(),
+        source.total_pages(),
+        duration,
+        label,
+        telemetry,
+        None,
+        resume,
+    )?
+    .run_checkpointed(
+        source,
+        checkpoints.map(|(policy, on_checkpoint)| CheckpointOptions {
+            policy,
+            on_checkpoint,
+        }),
+    )
+}
+
 /// Runs to completion, interrupts at the `stop_after`-th checkpoint, then
 /// resumes — and asserts the resumed report equals the uninterrupted one.
 fn assert_resume_matches(telemetry_enabled: bool, stop_after: usize) {
-    let config = config();
     let trace = trace();
-    let duration = 600.0;
-    let spindown = SpinDownPolicy::controlled(f64::INFINITY);
+    let run_id = ("ckpt-test", 600.0);
 
     let baseline_sink = MemorySink::new();
     let baseline_telemetry = if telemetry_enabled {
@@ -83,16 +113,10 @@ fn assert_resume_matches(telemetry_enabled: bool, stop_after: usize) {
     } else {
         Telemetry::disabled()
     };
-    let baseline = run_simulation_source_with(
-        &config,
-        spindown.clone(),
-        &mut Oscillator::default(),
-        trace.source(),
-        duration,
-        "ckpt-test",
-        &baseline_telemetry,
-    )
-    .expect("baseline run");
+    let baseline = run(trace.source(), run_id, &baseline_telemetry, None, None)
+        .expect("baseline run")
+        .into_report()
+        .expect("baseline run completes");
 
     // Interrupted run: checkpoint every period, stop at checkpoint #stop_after.
     let interrupted_sink = MemorySink::new();
@@ -107,22 +131,8 @@ fn assert_resume_matches(telemetry_enabled: bool, stop_after: usize) {
             captured.push(ckpt);
             captured.len() < stop_after
         };
-        run_simulation_full(
-            &config,
-            spindown.clone(),
-            &mut Oscillator::default(),
-            trace.source(),
-            duration,
-            "ckpt-test",
-            &interrupted_telemetry,
-            None,
-            None,
-            Some(CheckpointOptions {
-                policy: CheckpointPolicy::every(1),
-                on_checkpoint: &mut on_checkpoint,
-            }),
-        )
-        .expect("interrupted run")
+        let every = Some((CheckpointPolicy::every(1), &mut on_checkpoint as _));
+        run(trace.source(), run_id, &interrupted_telemetry, None, every).expect("interrupted run")
     };
     assert_eq!(outcome, SimOutcome::Interrupted);
     assert_eq!(captured.len(), stop_after);
@@ -130,15 +140,10 @@ fn assert_resume_matches(telemetry_enabled: bool, stop_after: usize) {
 
     // Resume from the last checkpoint with a *fresh* controller and the
     // same source; the checkpoint must rebuild everything dynamic.
-    let resumed = run_simulation_full(
-        &config,
-        spindown,
-        &mut Oscillator::default(),
+    let resumed = run(
         trace.source(),
-        duration,
-        "ckpt-test",
+        run_id,
         &interrupted_telemetry,
-        None,
         Some(ckpt),
         None,
     )
@@ -197,7 +202,6 @@ fn shutdown_flag_interrupts_at_next_boundary() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let config = config();
     let trace = trace();
     let shutdown = Arc::new(AtomicBool::new(true));
     let mut captured = Vec::new();
@@ -205,23 +209,18 @@ fn shutdown_flag_interrupts_at_next_boundary() {
         captured.push(ckpt);
         true // the shutdown flag, not the callback, stops the run
     };
-    let outcome = run_simulation_full(
-        &config,
-        SpinDownPolicy::controlled(f64::INFINITY),
-        &mut Oscillator::default(),
+    let policy = CheckpointPolicy {
+        every_periods: 0, // cadence disabled: only shutdown triggers
+        shutdown: Some(shutdown.clone()),
+    };
+    let on_shutdown = Some((policy, &mut on_checkpoint as _));
+    let telemetry = Telemetry::disabled();
+    let outcome = run(
         trace.source(),
-        600.0,
-        "shutdown-test",
-        &Telemetry::disabled(),
+        ("shutdown-test", 600.0),
+        &telemetry,
         None,
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy {
-                every_periods: 0, // cadence disabled: only shutdown triggers
-                shutdown: Some(shutdown.clone()),
-            },
-            on_checkpoint: &mut on_checkpoint,
-        }),
+        on_shutdown,
     )
     .expect("run");
     assert_eq!(outcome, SimOutcome::Interrupted);
@@ -233,47 +232,36 @@ fn shutdown_flag_interrupts_at_next_boundary() {
 }
 
 /// The first checkpoint of a 600 s "tamper-test" run.
-fn first_checkpoint(config: &SimConfig, trace: &Trace) -> SimCheckpoint {
+fn first_checkpoint(trace: &Trace) -> SimCheckpoint {
     let mut captured = Vec::new();
     let mut on_checkpoint = |ckpt: SimCheckpoint| {
         captured.push(ckpt);
         false
     };
-    run_simulation_full(
-        config,
-        SpinDownPolicy::controlled(f64::INFINITY),
-        &mut Oscillator::default(),
+    let every = Some((CheckpointPolicy::every(1), &mut on_checkpoint as _));
+    let telemetry = Telemetry::disabled();
+    run(
         trace.source(),
-        600.0,
-        "tamper-test",
-        &Telemetry::disabled(),
+        ("tamper-test", 600.0),
+        &telemetry,
         None,
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy::every(1),
-            on_checkpoint: &mut on_checkpoint,
-        }),
+        every,
     )
     .expect("run");
     captured.pop().expect("one checkpoint")
 }
 
 fn resume_from(
-    config: &SimConfig,
     trace: &Trace,
     ckpt: &SimCheckpoint,
     label: &str,
     duration: f64,
-) -> Result<SimOutcome, jpmd_trace::SourceError> {
-    run_simulation_full(
-        config,
-        SpinDownPolicy::controlled(f64::INFINITY),
-        &mut Oscillator::default(),
+) -> Result<SimOutcome, SourceError> {
+    let telemetry = Telemetry::disabled();
+    run(
         trace.source(),
-        duration,
-        label,
-        &Telemetry::disabled(),
-        None,
+        (label, duration),
+        &telemetry,
         Some(ckpt),
         None,
     )
@@ -281,25 +269,23 @@ fn resume_from(
 
 #[test]
 fn tampered_checkpoint_fails_with_an_error_not_a_panic() {
-    let config = config();
     let trace = trace();
-    let mut ckpt = first_checkpoint(&config, &trace);
+    let mut ckpt = first_checkpoint(&trace);
     // Corrupt the hardware image wholesale.
     ckpt.engine.hw = serde::Value::Str("not a hardware snapshot".into());
-    let err = resume_from(&config, &trace, &ckpt, "tamper-test", 600.0)
+    let err = resume_from(&trace, &ckpt, "tamper-test", 600.0)
         .expect_err("tampered checkpoint must fail to restore");
     assert!(err.to_string().contains("checkpoint restore failed"));
 }
 
 #[test]
 fn resuming_another_runs_checkpoint_fails_with_an_error_not_a_panic() {
-    let config = config();
     let trace = trace();
-    let ckpt = first_checkpoint(&config, &trace);
-    let err = resume_from(&config, &trace, &ckpt, "another-run", 600.0)
+    let ckpt = first_checkpoint(&trace);
+    let err = resume_from(&trace, &ckpt, "another-run", 600.0)
         .expect_err("a foreign label must not resume");
     assert!(err.to_string().contains("'tamper-test'"), "{err}");
-    let err = resume_from(&config, &trace, &ckpt, "tamper-test", 540.0)
+    let err = resume_from(&trace, &ckpt, "tamper-test", 540.0)
         .expect_err("a different duration must not resume");
     assert!(err.to_string().contains("600 s run"), "{err}");
 }
@@ -318,7 +304,7 @@ impl jpmd_trace::TraceSource for UnsortedSource {
         64
     }
 
-    fn next_record(&mut self) -> Option<Result<TraceRecord, jpmd_trace::SourceError>> {
+    fn next_record(&mut self) -> Option<Result<TraceRecord, SourceError>> {
         self.0.pop_front().map(Ok)
     }
 }
@@ -348,18 +334,12 @@ fn resume_preserves_clamping_state() {
         });
     }
     let source = || UnsortedSource(records.clone().into());
-    let config = config();
+    let (run_id, telemetry) = (("clamp-test", 500.0), Telemetry::disabled());
 
-    let baseline = run_simulation_source_with(
-        &config,
-        SpinDownPolicy::controlled(f64::INFINITY),
-        &mut Oscillator::default(),
-        source(),
-        500.0,
-        "clamp-test",
-        &Telemetry::disabled(),
-    )
-    .expect("baseline");
+    let baseline = run(source(), run_id, &telemetry, None, None)
+        .expect("baseline")
+        .into_report()
+        .expect("baseline completes");
     assert!(baseline.engine.records_clamped > 0, "clamping exercised");
 
     let mut captured = Vec::new();
@@ -367,37 +347,12 @@ fn resume_preserves_clamping_state() {
         captured.push(ckpt);
         false
     };
-    run_simulation_full(
-        &config,
-        SpinDownPolicy::controlled(f64::INFINITY),
-        &mut Oscillator::default(),
-        source(),
-        500.0,
-        "clamp-test",
-        &Telemetry::disabled(),
-        None,
-        None,
-        Some(CheckpointOptions {
-            policy: CheckpointPolicy::every(2),
-            on_checkpoint: &mut on_checkpoint,
-        }),
-    )
-    .expect("interrupted");
+    let every = Some((CheckpointPolicy::every(2), &mut on_checkpoint as _));
+    run(source(), run_id, &telemetry, None, every).expect("interrupted");
     let ckpt = captured.pop().expect("checkpoint");
-    let resumed = run_simulation_full(
-        &config,
-        SpinDownPolicy::controlled(f64::INFINITY),
-        &mut Oscillator::default(),
-        source(),
-        500.0,
-        "clamp-test",
-        &Telemetry::disabled(),
-        None,
-        Some(&ckpt),
-        None,
-    )
-    .expect("resumed")
-    .into_report()
-    .expect("completes");
+    let resumed = run(source(), run_id, &telemetry, Some(&ckpt), None)
+        .expect("resumed")
+        .into_report()
+        .expect("completes");
     assert_eq!(baseline, resumed);
 }

@@ -43,6 +43,9 @@ fn claiming_the_log_leaves_every_paper_suite_report_unchanged() {
         .build()
         .expect("workload generation");
     let (warmup, duration, period) = (300.0, 1800.0, 300.0);
+    let consolidating =
+        methods::disable_consolidated(&scale, methods::DiskPolicyKind::TwoCompetitive);
+    assert!(methods::sim_config_for(&consolidating, &scale).consolidate);
     let suite = methods::paper_suite(&scale, &[1, 2, 4]);
     assert!(suite.iter().any(|spec| spec.joint.is_none()));
     for spec in suite {
@@ -51,8 +54,6 @@ fn claiming_the_log_leaves_every_paper_suite_report_unchanged() {
         let mut sim = methods::sim_config_for(&spec, &scale);
         sim.warmup_secs = warmup;
         sim.period_secs = period;
-        sim.replacement = spec.replacement;
-        sim.consolidate = spec.consolidate;
         let inner: Box<dyn PeriodController> = match spec.joint {
             Some(mut cfg) => {
                 cfg.period_secs = period;
