@@ -3,7 +3,9 @@
 //! *through a checkpoint file on disk* and a reopened telemetry WAL
 //! produces a [`RunReport`] bit-identical to the uninterrupted run's and
 //! a byte-identical normalized telemetry stream with gap-free sequence
-//! numbers.
+//! numbers. A disable (`2TDS`) run also resumes from a checkpoint whose
+//! expiry entries are reordered and repeated as an expiry-heap image
+//! holds them.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -166,4 +168,110 @@ fn power_down_resumes_bit_identically() {
 fn joint_resumes_bit_identically() {
     let scale = SimScale::small_test();
     assert_method_resumes(&methods::joint(&scale), "joint", 3);
+}
+
+/// The named field of a serialized object.
+fn field<'v>(value: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
+    let serde::Value::Object(fields) = value else {
+        panic!("expected an object holding {key}")
+    };
+    &mut fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("no field {key}"))
+        .1
+}
+
+/// A `DisableAfter` checkpoint whose expiry entries are stored as the
+/// retired expiry heap wrote them — latest deadline first — with repeated
+/// same-stamp entries still resumes bit-identically.
+#[test]
+fn disable_resumes_from_a_reordered_expiry_image_with_duplicates() {
+    let scale = SimScale::small_test();
+    let spec = methods::disable(&scale, DiskPolicyKind::TwoCompetitive);
+    // A sparse, skewed data set: its cold banks idle past the 732 s
+    // disable timeout, so timers fire after the checkpoint.
+    let trace = WorkloadBuilder::new()
+        .data_set_bytes(2 * GIB)
+        .rate_bytes_per_sec(MIB)
+        .popularity(0.1)
+        .page_bytes(scale.page_bytes)
+        .duration_secs(DURATION)
+        .seed(42)
+        .build()
+        .expect("workload builds");
+    let replay_of = |spec: &MethodSpec, resume: Option<&SimCheckpoint>| {
+        methods::replay(
+            spec,
+            &scale,
+            trace.total_pages(),
+            WARMUP,
+            DURATION,
+            PERIOD,
+            &Telemetry::disabled(),
+            resume,
+        )
+        .expect("replay builds")
+    };
+    let replay = |resume| replay_of(&spec, resume);
+    let baseline = replay(None)
+        .run_checkpointed(trace.source(), None)
+        .expect("baseline run")
+        .into_report()
+        .expect("baseline completes");
+
+    let mut captured = None;
+    let mut on_checkpoint = |ckpt: SimCheckpoint| {
+        captured = Some(ckpt);
+        false
+    };
+    let outcome = replay(None)
+        .run_checkpointed(
+            trace.source(),
+            Some(CheckpointOptions {
+                policy: CheckpointPolicy::every(4),
+                on_checkpoint: &mut on_checkpoint,
+            }),
+        )
+        .expect("interrupted run");
+    assert_eq!(outcome, SimOutcome::Interrupted);
+    let mut ckpt = captured.expect("a checkpoint was captured");
+
+    let entries = field(field(&mut ckpt.engine.hw, "mem"), "ds_heap");
+    let serde::Value::Array(list) = entries else {
+        panic!("ds_heap is an array")
+    };
+    assert!(list.len() > 4, "the disable timers are armed mid-run");
+    // Latest deadline first, as the heap's sorted vector was stored.
+    let key = |e: &serde::Value| {
+        let fields = e.as_object().expect("an entry is an object");
+        let get = |k: &str| &fields.iter().find(|(name, _)| name == k).expect(k).1;
+        match (get("at"), get("bank")) {
+            (serde::Value::F64(at), serde::Value::U64(bank)) => (*at, *bank),
+            other => panic!("entry fields {other:?}"),
+        }
+    };
+    list.sort_by(|a, b| {
+        let (a, b) = (key(a), key(b));
+        b.0.total_cmp(&a.0).then(b.1.cmp(&a.1))
+    });
+    let duplicates: Vec<_> = list.iter().step_by(3).cloned().collect();
+    list.extend(duplicates);
+
+    let resumed = replay(Some(&ckpt))
+        .run_checkpointed(trace.source(), None)
+        .expect("resumed run")
+        .into_report()
+        .expect("resumed run completes");
+    assert_eq!(baseline, resumed, "resumed report must be bit-identical");
+    // The timers did fire: disabling lost pages that power-down keeps.
+    let power_down = replay_of(
+        &methods::power_down(&scale, DiskPolicyKind::TwoCompetitive),
+        None,
+    )
+    .run_checkpointed(trace.source(), None)
+    .expect("power-down run")
+    .into_report()
+    .expect("power-down completes");
+    assert!(baseline.disk_page_accesses > power_down.disk_page_accesses);
 }

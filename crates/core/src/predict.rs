@@ -84,7 +84,7 @@ const NONE_IDX: u32 = u32::MAX;
 ///
 /// Panics if `candidates` is not sorted ascending.
 pub fn predict_sizes(log: &AccessLog, candidates: &[u64], window: f64) -> Vec<SizePrediction> {
-    predict_streams(log, candidates, window, |_| 0, 1)
+    predict_streams(log, &removal_order(log), candidates, window, |_| 0, 1)
 }
 
 /// Predicts disk accesses and idle structure at each candidate capacity,
@@ -106,10 +106,17 @@ pub fn predict_sizes_routed<F: Fn(u64) -> usize>(
     route: F,
     n_routes: usize,
 ) -> Vec<Vec<SizePrediction>> {
-    predict_streams(log, candidates, window, route, n_routes)
-        .chunks(n_routes)
-        .map(<[SizePrediction]>::to_vec)
-        .collect()
+    predict_streams(
+        log,
+        &removal_order(log),
+        candidates,
+        window,
+        route,
+        n_routes,
+    )
+    .chunks(n_routes)
+    .map(<[SizePrediction]>::to_vec)
+    .collect()
 }
 
 /// One route's predicted miss stream: the ends of its linked list over
@@ -139,13 +146,69 @@ impl MissStream {
     }
 }
 
+/// A log whose largest stack distance exceeds this many times its length
+/// (plus [`COUNTING_SLACK`]) is ordered by a comparison sort instead of a
+/// counting pass, whose cost grows with the largest distance.
+const COUNTING_SPAN: u64 = 4;
+const COUNTING_SLACK: u64 = 4096;
+
+/// The log's non-cold accesses as `(stack distance, log index)`, ascending:
+/// the order in which a growing memory turns them into hits.
+///
+/// One counting pass over the distances, stable in the log index, yields
+/// exactly the order a comparison sort of the pairs would, so every idle
+/// total sums the same gaps in the same order. A log whose largest distance
+/// is far beyond its length (a long profiler history behind a short
+/// period) falls back to that sort.
+fn removal_order(log: &AccessLog) -> Vec<(u64, u32)> {
+    let entries = log.entries();
+    let position = |d: StackDistance| match d {
+        StackDistance::Position(p) => Some(p),
+        StackDistance::Cold => None,
+    };
+    let Some(max) = entries.iter().filter_map(|e| position(e.distance)).max() else {
+        return Vec::new();
+    };
+    if max > COUNTING_SPAN * entries.len() as u64 + COUNTING_SLACK {
+        let mut order: Vec<(u64, u32)> = entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| position(e.distance).map(|p| (p, i as u32)))
+            .collect();
+        order.sort_unstable();
+        return order;
+    }
+    // next[p]: the next free slot for distance p (first, the number of
+    // accesses at smaller distances).
+    let mut next = vec![0u32; max as usize + 2];
+    for e in entries {
+        if let Some(p) = position(e.distance) {
+            next[p as usize + 1] += 1;
+        }
+    }
+    for p in 1..next.len() {
+        next[p] += next[p - 1];
+    }
+    let mut order = vec![(0, 0); next[max as usize + 1] as usize];
+    for (i, e) in entries.iter().enumerate() {
+        if let Some(p) = position(e.distance) {
+            let slot = &mut next[p as usize];
+            order[*slot as usize] = (p, i as u32);
+            *slot += 1;
+        }
+    }
+    order
+}
+
 /// The one reconstruction behind both predictors: every access starts as
 /// a miss on its route's linked list; candidates are visited in ascending
-/// order and each access whose stack distance the growth covers is
-/// unlinked, merging its two neighboring gaps (Fig. 4). The result is
-/// candidate-major with stride `n_routes`.
+/// order and each access whose stack distance the growth covers (in
+/// `order`, see [`removal_order`]) is unlinked, merging its two
+/// neighboring gaps (Fig. 4). The result is candidate-major with stride
+/// `n_routes`.
 fn predict_streams<F: Fn(u64) -> usize>(
     log: &AccessLog,
+    order: &[(u64, u32)],
     candidates: &[u64],
     window: f64,
     route: F,
@@ -186,17 +249,6 @@ fn predict_streams<F: Fn(u64) -> usize>(
         stream.tail = i as u32;
         stream.misses += 1;
     }
-
-    // Accesses ordered by the capacity at which they become hits.
-    let mut order: Vec<(u64, u32)> = entries
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| match e.distance {
-            StackDistance::Position(p) => Some((p, i as u32)),
-            StackDistance::Cold => None,
-        })
-        .collect();
-    order.sort_unstable();
 
     let mut out = Vec::with_capacity(candidates.len() * n_routes);
     let mut cursor = 0usize;
@@ -300,23 +352,37 @@ pub fn irm_miss_rate(probabilities: &[f64], capacity_pages: u64) -> (f64, f64) {
 /// (between change points a smaller memory has the same disk I/O and less
 /// static power, §IV-B), clamped to `min_banks..=max_banks`, deduplicated,
 /// ascending. Expressed in banks.
+///
+/// One pass over the log marks the banks in a bitmap over
+/// `0..=max_banks`; no sort.
+///
+/// # Panics
+///
+/// Panics if `min_banks > max_banks`.
 pub fn candidate_banks(
     log: &AccessLog,
     bank_pages: u32,
     min_banks: u32,
     max_banks: u32,
 ) -> Vec<u32> {
-    let mut banks: Vec<u32> = log
-        .change_points()
-        .into_iter()
-        .map(|pages| pages.div_ceil(bank_pages as u64).min(max_banks as u64) as u32)
-        .map(|b| b.clamp(min_banks, max_banks))
-        .collect();
-    banks.push(min_banks);
-    banks.push(max_banks);
-    banks.sort_unstable();
-    banks.dedup();
-    banks
+    assert!(
+        min_banks <= max_banks,
+        "min_banks must not exceed max_banks"
+    );
+    let mut marked = vec![false; max_banks as usize + 1];
+    marked[min_banks as usize] = true;
+    marked[max_banks as usize] = true;
+    for e in log.entries() {
+        if let StackDistance::Position(pages) = e.distance {
+            let banks = pages
+                .div_ceil(u64::from(bank_pages))
+                .min(u64::from(max_banks)) as u32;
+            marked[banks.max(min_banks) as usize] = true;
+        }
+    }
+    (min_banks..=max_banks)
+        .filter(|&b| marked[b as usize])
+        .collect()
 }
 
 #[cfg(test)]
@@ -491,6 +557,115 @@ mod tests {
         let routed = predict_sizes_routed(&log, &candidates, 5.0, |_| 0, 1);
         for (s, per_disk) in single.iter().zip(&routed) {
             assert_eq!(&per_disk[0], s);
+        }
+    }
+
+    /// Comparison-sort reference of [`removal_order`].
+    fn sorted_order(log: &AccessLog) -> Vec<(u64, u32)> {
+        let mut order: Vec<(u64, u32)> = log
+            .entries()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e.distance {
+                StackDistance::Position(p) => Some((p, i as u32)),
+                StackDistance::Cold => None,
+            })
+            .collect();
+        order.sort_unstable();
+        order
+    }
+
+    /// Sort-and-dedup reference of [`candidate_banks`]: the log's distinct
+    /// distances plus 0, rounded up to banks and clamped.
+    fn candidate_banks_by_sort(log: &AccessLog, bank_pages: u32, min: u32, max: u32) -> Vec<u32> {
+        let mut banks: Vec<u32> = std::iter::once(0)
+            .chain(log.entries().iter().filter_map(|e| match e.distance {
+                StackDistance::Position(p) => Some(p),
+                StackDistance::Cold => None,
+            }))
+            .map(|pages| pages.div_ceil(bank_pages as u64).min(max as u64) as u32)
+            .map(|b| b.clamp(min, max))
+            .collect();
+        banks.push(min);
+        banks.push(max);
+        banks.sort_unstable();
+        banks.dedup();
+        banks
+    }
+
+    /// The bits of every field, so equality means bit-identical.
+    fn bits(p: &SizePrediction) -> (u64, u64, u64, u64, Option<u64>, Option<u64>) {
+        (
+            p.capacity_pages,
+            p.disk_accesses,
+            p.idle_count,
+            p.idle_total_secs.to_bits(),
+            p.first_miss_secs.map(f64::to_bits),
+            p.last_miss_secs.map(f64::to_bits),
+        )
+    }
+
+    /// A random log of `len` accesses: non-decreasing times with repeats,
+    /// one in eight cold, distances below `dense` or, when `sparse`, one
+    /// in four up to 2^40 (past the counting pass's span).
+    fn random_log(seed: u64, len: usize, dense: u64, sparse: bool) -> AccessLog {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut log = AccessLog::new();
+        let mut t = 0.0;
+        for _ in 0..len {
+            if rng.gen_range(0..3) > 0 {
+                t += rng.gen_range(0.0..4.0);
+            }
+            let distance = match rng.gen_range(0..8) {
+                0 => StackDistance::Cold,
+                1 | 2 if sparse => StackDistance::Position(rng.gen_range(1..(1u64 << 40))),
+                _ => StackDistance::Position(rng.gen_range(1..=dense)),
+            };
+            log.record(t, rng.gen_range(0..64), distance);
+        }
+        log
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        #[test]
+        fn counting_order_and_bitmap_match_the_sorting_references(
+            seed in 0u64..u64::MAX,
+            len in 0usize..700,
+            dense in 1u64..300,
+            sparse in 0u8..2,
+            bank_pages in 1u32..9,
+        ) {
+            let log = random_log(seed, len, dense, sparse == 1);
+            let reference = sorted_order(&log);
+            proptest::prop_assert_eq!(&removal_order(&log), &reference);
+
+            let (min, max) = (1 + (seed % 4) as u32, 40 + (seed % 30) as u32);
+            let banks = candidate_banks(&log, bank_pages, min, max);
+            proptest::prop_assert_eq!(&banks, &candidate_banks_by_sort(&log, bank_pages, min, max));
+
+            let caps: Vec<u64> = banks.iter().map(|&b| u64::from(b * bank_pages)).collect();
+            let w = 1.5;
+            let got: Vec<_> = predict_sizes(&log, &caps, w).iter().map(bits).collect();
+            let want: Vec<_> = predict_streams(&log, &reference, &caps, w, |_| 0, 1)
+                .iter()
+                .map(bits)
+                .collect();
+            proptest::prop_assert_eq!(got, want);
+
+            let route = |p: u64| (p % 3) as usize;
+            let got: Vec<_> = predict_sizes_routed(&log, &caps, w, route, 3)
+                .iter()
+                .flatten()
+                .map(bits)
+                .collect();
+            let want: Vec<_> = predict_streams(&log, &reference, &caps, w, route, 3)
+                .iter()
+                .map(bits)
+                .collect();
+            proptest::prop_assert_eq!(got, want);
         }
     }
 

@@ -1,5 +1,4 @@
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,7 +56,7 @@ impl MemConfig {
     }
 }
 
-/// What a heap entry does when it fires.
+/// What an expiry entry does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum ExpiryKind {
     /// The disable timeout passed: drop the bank's pages.
@@ -67,8 +66,8 @@ enum ExpiryKind {
     Consolidate,
 }
 
-/// Heap entry for lazy disable-mode expiry sweeping.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// One armed `DisableAfter` timer, swept lazily.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct Expiry {
     at: f64,
     bank: u32,
@@ -78,24 +77,109 @@ struct Expiry {
     kind: ExpiryKind,
 }
 
-impl PartialEq for Expiry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.bank == other.bank
-    }
+/// The pending `DisableAfter` timers: one deadline-ordered FIFO per
+/// [`ExpiryKind`].
+///
+/// A kind's deadline is `now + t` with a fixed `t`, so while `now` does not
+/// decrease, push order is deadline order and arming costs O(1). A bank
+/// touched many times at one instant (every page of a record) is armed
+/// once: `armed` remembers, per (bank, kind), the stamp of an entry still
+/// queued, and a push with that same stamp is dropped — its firing would
+/// find the bank already invalidated or evacuated and do nothing.
+#[derive(Debug, Clone)]
+struct ExpiryQueue {
+    fifos: [VecDeque<Expiry>; 2],
+    /// Stamp of the newest queued entry per `bank * 2 + kind` (NaN: none).
+    armed: Vec<f64>,
 }
-impl Eq for Expiry {}
-impl PartialOrd for Expiry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+impl ExpiryQueue {
+    fn new(total_banks: u32) -> Self {
+        ExpiryQueue {
+            fifos: [VecDeque::new(), VecDeque::new()],
+            armed: vec![f64::NAN; 2 * total_banks as usize],
+        }
     }
-}
-impl Ord for Expiry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want earliest expiry first.
-        other
-            .at
-            .total_cmp(&self.at)
-            .then_with(|| other.bank.cmp(&self.bank))
+
+    fn slot(bank: u32, kind: ExpiryKind) -> usize {
+        2 * bank as usize + kind as usize
+    }
+
+    /// Queues `e` unless an entry with the same bank, kind and stamp is
+    /// already queued.
+    fn push(&mut self, e: Expiry) {
+        let armed = &mut self.armed[Self::slot(e.bank, e.kind)];
+        if *armed == e.stamp {
+            return;
+        }
+        *armed = e.stamp;
+        let fifo = &mut self.fifos[e.kind as usize];
+        if fifo.back().is_none_or(|last| last.at <= e.at) {
+            fifo.push_back(e);
+        } else {
+            // An out-of-order `now` from a direct caller.
+            let at = fifo.partition_point(|q| q.at <= e.at);
+            fifo.insert(at, e);
+        }
+    }
+
+    /// Whether any entry is due at `now`.
+    fn any_due(&self, now: f64) -> bool {
+        self.fifos
+            .iter()
+            .any(|fifo| fifo.front().is_some_and(|e| e.at <= now))
+    }
+
+    /// Moves every entry due at `now` out of the queue, keeping in `batch`
+    /// the ones still fresh against `last_access` (a stale entry cannot
+    /// turn fresh again within one sweep).
+    fn pop_due(&mut self, now: f64, last_access: impl Fn(u32) -> f64, batch: &mut Vec<Expiry>) {
+        for fifo in &mut self.fifos {
+            while let Some(&e) = fifo.front().filter(|e| e.at <= now) {
+                fifo.pop_front();
+                let armed = &mut self.armed[Self::slot(e.bank, e.kind)];
+                if *armed == e.stamp {
+                    *armed = f64::NAN;
+                }
+                if last_access(e.bank) == e.stamp {
+                    batch.push(e);
+                }
+            }
+        }
+    }
+
+    /// The queued entries, each kind in deadline order.
+    fn entries(&self) -> Vec<Expiry> {
+        self.fifos.iter().flatten().copied().collect()
+    }
+
+    /// Rebuilds a queue from entries in any order, dropping exact
+    /// duplicates (a `.jck` v2 image stores the retired heap's vector).
+    ///
+    /// # Errors
+    ///
+    /// Fails when an entry names a bank outside `0..total_banks`.
+    fn from_entries(mut entries: Vec<Expiry>, total_banks: u32) -> Result<Self, serde::Error> {
+        if let Some(e) = entries.iter().find(|e| e.bank >= total_banks) {
+            return Err(serde::Error::custom(format!(
+                "expiry entry names bank {} of {total_banks}",
+                e.bank
+            )));
+        }
+        entries.sort_by(|a, b| {
+            a.at.total_cmp(&b.at)
+                .then(a.bank.cmp(&b.bank))
+                .then(a.stamp.total_cmp(&b.stamp))
+                .then((a.kind as u8).cmp(&(b.kind as u8)))
+        });
+        entries.dedup();
+        let mut queue = ExpiryQueue::new(total_banks);
+        for e in entries {
+            queue.fifos[e.kind as usize].push_back(e);
+            let armed = &mut queue.armed[Self::slot(e.bank, e.kind)];
+            *armed = armed.max(e.stamp);
+        }
+        Ok(queue)
     }
 }
 
@@ -140,7 +224,9 @@ pub struct MemoryManager {
     profiling: bool,
     profiler: StackProfiler,
     log: AccessLog,
-    ds_heap: BinaryHeap<Expiry>,
+    expiry: ExpiryQueue,
+    /// One sweep's due entries (kept to reuse the allocation).
+    expiry_batch: Vec<Expiry>,
     accesses: u64,
     hits: u64,
     /// Migrate pages out of nearly-expired `DisableAfter` banks instead of
@@ -180,7 +266,8 @@ impl MemoryManager {
             profiling: false,
             profiler: StackProfiler::new(),
             log: AccessLog::new(),
-            ds_heap: BinaryHeap::new(),
+            expiry: ExpiryQueue::new(config.total_banks),
+            expiry_batch: Vec::new(),
             accesses: 0,
             hits: 0,
             consolidate: false,
@@ -229,62 +316,88 @@ impl MemoryManager {
     }
 
     /// Invalidates (or consolidates) banks whose timers fired before `now`.
+    ///
+    /// The due entries leave the queue as one batch and fire in
+    /// (deadline, bank) order. Freshness is checked again at fire time: a
+    /// consolidation's zero-byte touch of a destination bank makes that
+    /// bank's later entries in the batch stale.
     fn sweep_disabled(&mut self, now: f64) {
-        while let Some(top) = self.ds_heap.peek() {
-            if top.at > now {
+        if !self.expiry.any_due(now) {
+            return;
+        }
+        let mut batch = std::mem::take(&mut self.expiry_batch);
+        loop {
+            let banks = &self.banks;
+            self.expiry
+                .pop_due(now, |bank| banks.last_access(bank as usize), &mut batch);
+            if batch.is_empty() {
                 break;
             }
-            let e = *top;
-            self.ds_heap.pop();
-            let fresh = self.banks.last_access(e.bank as usize) == e.stamp;
-            if !fresh {
-                continue;
+            batch.sort_unstable_by(|a, b| a.at.total_cmp(&b.at).then(a.bank.cmp(&b.bank)));
+            for &e in &batch {
+                self.fire(e, now);
             }
-            match e.kind {
-                ExpiryKind::Invalidate => {
-                    if self.banks.is_expired(e.bank as usize, now) {
-                        // Dirty pages must reach the disk before the bank
-                        // loses them.
-                        self.pending_writebacks
-                            .extend(self.cache.dirty_pages_in_banks(e.bank, e.bank + 1));
-                        self.cache.invalidate_bank(e.bank);
+            batch.clear();
+        }
+        self.expiry_batch = batch;
+    }
+
+    /// Fires one due entry at `now` unless the bank was touched since it
+    /// was armed.
+    fn fire(&mut self, e: Expiry, now: f64) {
+        if self.banks.last_access(e.bank as usize) != e.stamp {
+            return;
+        }
+        match e.kind {
+            ExpiryKind::Invalidate => {
+                if self.banks.is_expired(e.bank as usize, now) {
+                    // Dirty pages must reach the disk before the bank
+                    // loses them.
+                    self.pending_writebacks
+                        .extend(self.cache.dirty_pages_in_banks(e.bank, e.bank + 1));
+                    self.cache.invalidate_bank(e.bank);
+                }
+            }
+            ExpiryKind::Consolidate => {
+                let moved = self.cache.evacuate_bank(e.bank);
+                if !moved.is_empty() {
+                    self.pages_migrated += moved.len() as u64;
+                    let mb = moved.len() as f64 * self.config.page_mb();
+                    self.banks
+                        .add_dynamic_j(2.0 * mb * self.config.model.dynamic_j_per_mb());
+                    // Destination banks now hold live data: mark them
+                    // accessed (zero-byte touch) and arm their own
+                    // disable timers so they stay physically honest.
+                    let mut dest_banks: Vec<u32> =
+                        moved.iter().map(|&f| self.cache.bank_of(f)).collect();
+                    dest_banks.sort_unstable();
+                    dest_banks.dedup();
+                    for bank in dest_banks {
+                        self.banks.record_access(bank as usize, now, 0.0);
+                        self.arm(bank, now);
                     }
                 }
-                ExpiryKind::Consolidate => {
-                    let moved = self.cache.evacuate_bank(e.bank);
-                    if !moved.is_empty() {
-                        self.pages_migrated += moved.len() as u64;
-                        let mb = moved.len() as f64 * self.config.page_mb();
-                        self.banks
-                            .add_dynamic_j(2.0 * mb * self.config.model.dynamic_j_per_mb());
-                        // Destination banks now hold live data: mark them
-                        // accessed (zero-byte touch) and arm their own
-                        // disable timers so they stay physically honest.
-                        let mut dest_banks: Vec<u32> =
-                            moved.iter().map(|&f| self.cache.bank_of(f)).collect();
-                        dest_banks.sort_unstable();
-                        dest_banks.dedup();
-                        if let Some(t) = self.config.policy.disable_after() {
-                            for bank in dest_banks {
-                                self.banks.record_access(bank as usize, now, 0.0);
-                                self.ds_heap.push(Expiry {
-                                    at: now + t,
-                                    bank,
-                                    stamp: now,
-                                    kind: ExpiryKind::Invalidate,
-                                });
-                                if self.consolidate {
-                                    self.ds_heap.push(Expiry {
-                                        at: now + 0.5 * t,
-                                        bank,
-                                        stamp: now,
-                                        kind: ExpiryKind::Consolidate,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
+            }
+        }
+    }
+
+    /// Arms `bank`'s disable (and, with consolidation, migration) timer
+    /// from an access at `now`; a no-op unless the idle policy disables.
+    fn arm(&mut self, bank: u32, now: f64) {
+        if let Some(t) = self.config.policy.disable_after() {
+            self.expiry.push(Expiry {
+                at: now + t,
+                bank,
+                stamp: now,
+                kind: ExpiryKind::Invalidate,
+            });
+            if self.consolidate {
+                self.expiry.push(Expiry {
+                    at: now + 0.5 * t,
+                    bank,
+                    stamp: now,
+                    kind: ExpiryKind::Consolidate,
+                });
             }
         }
     }
@@ -319,22 +432,7 @@ impl MemoryManager {
         let bank = self.cache.bank_of(outcome.frame);
         self.banks
             .record_access(bank as usize, now, self.config.page_mb());
-        if let Some(t) = self.config.policy.disable_after() {
-            self.ds_heap.push(Expiry {
-                at: now + t,
-                bank,
-                stamp: now,
-                kind: ExpiryKind::Invalidate,
-            });
-            if self.consolidate {
-                self.ds_heap.push(Expiry {
-                    at: now + 0.5 * t,
-                    bank,
-                    stamp: now,
-                    kind: ExpiryKind::Consolidate,
-                });
-            }
-        }
+        self.arm(bank, now);
         self.accesses += 1;
         if outcome.hit {
             self.hits += 1;
@@ -457,9 +555,7 @@ impl MemoryManager {
             banks: self.banks.clone(),
             profiler: self.profiler.clone(),
             log: self.log.clone(),
-            // Sorted for a deterministic byte representation; heap order
-            // is rebuilt on restore.
-            ds_heap: self.ds_heap.clone().into_sorted_vec(),
+            ds_heap: self.expiry.entries(),
             accesses: self.accesses,
             hits: self.hits,
             consolidate: self.consolidate,
@@ -478,11 +574,12 @@ impl MemoryManager {
     /// Returns an error when `value` does not decode as a memory snapshot.
     pub fn restore_state(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
         let s = MemSnapshot::from_value(value)?;
+        let expiry = ExpiryQueue::from_entries(s.ds_heap, self.config.total_banks)?;
         self.cache = s.cache;
         self.banks = s.banks;
         self.profiler = s.profiler;
         self.log = s.log;
-        self.ds_heap = BinaryHeap::from(s.ds_heap);
+        self.expiry = expiry;
         self.accesses = s.accesses;
         self.hits = s.hits;
         self.consolidate = s.consolidate;
@@ -493,8 +590,10 @@ impl MemoryManager {
     }
 }
 
-/// Serializable image of a [`MemoryManager`]'s dynamic fields (the heap
-/// flattened to a vector — `BinaryHeap` itself has no serde support).
+/// Serializable image of a [`MemoryManager`]'s dynamic fields. `ds_heap`
+/// holds the queued expiry entries; restore accepts them in any order and
+/// with duplicates, as `.jck` v2 images of the retired expiry heap store
+/// them.
 #[derive(Serialize, Deserialize)]
 struct MemSnapshot {
     cache: DiskCache,
@@ -513,6 +612,7 @@ struct MemSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn config(policy: IdlePolicy) -> MemConfig {
         MemConfig {
@@ -781,6 +881,285 @@ mod tests {
             a.energy().dynamic_j.to_bits(),
             b.energy().dynamic_j.to_bits()
         );
+    }
+
+    /// The retired expiry scheduler, kept as the oracle for
+    /// [`ExpiryQueue`]: one `BinaryHeap` push per armed access, popped in
+    /// (deadline, bank) order, over the same cache and bank model.
+    #[derive(Clone)]
+    struct HeapManager {
+        config: MemConfig,
+        cache: DiskCache,
+        banks: BankArray,
+        heap: std::collections::BinaryHeap<HeapEntry>,
+        consolidate: bool,
+        pages_migrated: u64,
+        pending_writebacks: Vec<u64>,
+    }
+
+    /// Heap order: earliest deadline first, then lowest bank.
+    #[derive(Clone, Copy)]
+    struct HeapEntry(Expiry);
+
+    impl PartialEq for HeapEntry {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other).is_eq()
+        }
+    }
+    impl Eq for HeapEntry {}
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other
+                .0
+                .at
+                .total_cmp(&self.0.at)
+                .then_with(|| other.0.bank.cmp(&self.0.bank))
+        }
+    }
+
+    impl HeapManager {
+        fn new(config: MemConfig) -> Self {
+            let fresh = MemoryManager::new(config);
+            HeapManager {
+                config,
+                cache: fresh.cache,
+                banks: fresh.banks,
+                heap: std::collections::BinaryHeap::new(),
+                consolidate: false,
+                pages_migrated: 0,
+                pending_writebacks: Vec::new(),
+            }
+        }
+
+        fn arm(&mut self, bank: u32, now: f64) {
+            if let Some(t) = self.config.policy.disable_after() {
+                self.heap.push(HeapEntry(Expiry {
+                    at: now + t,
+                    bank,
+                    stamp: now,
+                    kind: ExpiryKind::Invalidate,
+                }));
+                if self.consolidate {
+                    self.heap.push(HeapEntry(Expiry {
+                        at: now + 0.5 * t,
+                        bank,
+                        stamp: now,
+                        kind: ExpiryKind::Consolidate,
+                    }));
+                }
+            }
+        }
+
+        fn sweep(&mut self, now: f64) {
+            while let Some(&HeapEntry(e)) = self.heap.peek() {
+                if e.at > now {
+                    break;
+                }
+                self.heap.pop();
+                if self.banks.last_access(e.bank as usize) != e.stamp {
+                    continue;
+                }
+                match e.kind {
+                    ExpiryKind::Invalidate => {
+                        if self.banks.is_expired(e.bank as usize, now) {
+                            self.pending_writebacks
+                                .extend(self.cache.dirty_pages_in_banks(e.bank, e.bank + 1));
+                            self.cache.invalidate_bank(e.bank);
+                        }
+                    }
+                    ExpiryKind::Consolidate => {
+                        let moved = self.cache.evacuate_bank(e.bank);
+                        if !moved.is_empty() {
+                            self.pages_migrated += moved.len() as u64;
+                            let mb = moved.len() as f64 * self.config.page_mb();
+                            self.banks
+                                .add_dynamic_j(2.0 * mb * self.config.model.dynamic_j_per_mb());
+                            let mut dest: Vec<u32> =
+                                moved.iter().map(|&f| self.cache.bank_of(f)).collect();
+                            dest.sort_unstable();
+                            dest.dedup();
+                            for bank in dest {
+                                self.banks.record_access(bank as usize, now, 0.0);
+                                self.arm(bank, now);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        fn access_rw(&mut self, page: u64, now: f64, write: bool) -> bool {
+            self.sweep(now);
+            let outcome = self.cache.access(page);
+            if write {
+                self.cache.mark_dirty(outcome.frame);
+            }
+            if let Some(dirty) = outcome.writeback {
+                self.pending_writebacks.push(dirty);
+            }
+            let bank = self.cache.bank_of(outcome.frame);
+            self.banks
+                .record_access(bank as usize, now, self.config.page_mb());
+            self.arm(bank, now);
+            outcome.hit || write
+        }
+
+        fn set_enabled_banks(&mut self, banks: u32, now: f64) {
+            let enabled = self.cache.enabled_banks();
+            if banks < enabled {
+                self.pending_writebacks
+                    .extend(self.cache.dirty_pages_in_banks(banks, enabled));
+            }
+            self.banks.set_enabled(banks as usize, now);
+            self.cache.resize(banks);
+        }
+    }
+
+    /// Time steps of the differential test: repeats of one instant, short
+    /// and long gaps around the 3–10 s timeouts, and a step back.
+    const STEPS: [f64; 8] = [0.0, 0.0, 0.25, 1.0, 2.5, 6.0, 15.0, -1.5];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+        #[test]
+        fn expiry_queue_matches_the_heap_scheduler(
+            ops in proptest::collection::vec((0u8..20, 0u64..48, 0usize..8, 0u8..2), 1..400),
+            policy in 0usize..3,
+            initial_banks in 3u32..=6,
+        ) {
+            let policy = [
+                IdlePolicy::DisableAfter(3.0),
+                IdlePolicy::DisableAfter(10.0),
+                IdlePolicy::Cascade { pd_after: 1.0, disable_after: 8.0 },
+            ][policy];
+            let cfg = MemConfig {
+                total_banks: 6,
+                initial_banks,
+                ..config(policy)
+            };
+            let mut m = MemoryManager::new(cfg);
+            let mut r = HeapManager::new(cfg);
+            let mut now = 0.0f64;
+            for (i, &(op, page, step, flag)) in ops.iter().enumerate() {
+                now = (now + STEPS[step]).max(0.0);
+                match op {
+                    14 => {
+                        let banks = 1 + (page % 6) as u32;
+                        m.set_enabled_banks(banks, now);
+                        r.set_enabled_banks(banks, now);
+                    }
+                    15 => {
+                        m.set_consolidation(flag == 1);
+                        r.consolidate = flag == 1;
+                    }
+                    16 => {
+                        let mut resumed = MemoryManager::new(cfg);
+                        resumed.restore_state(&m.snapshot_state()).unwrap();
+                        m = resumed;
+                    }
+                    _ => {
+                        let write = flag == 1;
+                        prop_assert_eq!(
+                            m.access_rw(page, now, write),
+                            r.access_rw(page, now, write),
+                            "op {} at t = {}", i, now
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    m.take_writebacks(),
+                    std::mem::take(&mut r.pending_writebacks),
+                    "op {}", i
+                );
+                prop_assert_eq!(m.pages_migrated(), r.pages_migrated);
+            }
+            m.settle(now);
+            r.banks.advance_to(now);
+            let (a, b) = (m.energy(), r.banks.energy());
+            prop_assert_eq!(a.static_j.to_bits(), b.static_j.to_bits());
+            prop_assert_eq!(a.dynamic_j.to_bits(), b.dynamic_j.to_bits());
+        }
+
+        #[test]
+        fn expiry_queue_holds_each_timer_once(
+            ops in proptest::collection::vec((0u64..48, 0usize..7, 0u8..2), 1..400),
+            consolidate in 0u8..2,
+        ) {
+            let mut m = MemoryManager::new(MemConfig {
+                total_banks: 6,
+                initial_banks: 6,
+                ..config(IdlePolicy::DisableAfter(10.0))
+            });
+            m.set_consolidation(consolidate == 1);
+            let mut now = 0.0;
+            for &(page, step, write) in &ops {
+                now += STEPS[step]; // never a step back
+                m.access_rw(page, now, write == 1);
+                let mut keys: Vec<_> = m
+                    .expiry
+                    .entries()
+                    .iter()
+                    .map(|e| (e.bank, e.kind as u8, e.stamp.to_bits()))
+                    .collect();
+                let queued = keys.len();
+                keys.sort_unstable();
+                keys.dedup();
+                prop_assert_eq!(keys.len(), queued, "a timer was queued twice");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_accepts_expiry_entries_in_any_order_with_duplicates() {
+        let cfg = config(IdlePolicy::DisableAfter(10.0));
+        let mut a = MemoryManager::new(cfg);
+        a.set_consolidation(true);
+        for (i, p) in [1u64, 5, 9, 2, 6, 1, 13].into_iter().enumerate() {
+            a.access_rw(p, i as f64 * 0.5, i % 2 == 0);
+        }
+        let mut value = a.snapshot_state();
+        // Reverse the entries and repeat each one, as a heap image may.
+        let serde::Value::Object(fields) = &mut value else {
+            panic!("a memory snapshot is an object")
+        };
+        let (_, heap) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "ds_heap")
+            .expect("snapshot keeps the ds_heap field");
+        let mut entries = Vec::<Expiry>::from_value(heap).unwrap();
+        assert!(entries.len() > 2);
+        entries.reverse();
+        entries.extend(entries.clone());
+        *heap = entries.to_value();
+        let mut b = MemoryManager::new(cfg);
+        b.restore_state(&value).unwrap();
+        assert_eq!(b.expiry.entries(), a.expiry.entries());
+        for (i, p) in [1u64, 40, 2, 9, 60, 5].into_iter().enumerate() {
+            let now = 8.0 + i as f64 * 2.0;
+            assert_eq!(a.access(p, now), b.access(p, now));
+            assert_eq!(a.take_writebacks(), b.take_writebacks());
+        }
+        assert_eq!(a.pages_migrated(), b.pages_migrated());
+    }
+
+    #[test]
+    fn restore_rejects_an_expiry_entry_outside_the_banks() {
+        let mut a = MemoryManager::new(config(IdlePolicy::DisableAfter(10.0)));
+        a.access(1, 0.0);
+        let mut big = MemoryManager::new(MemConfig {
+            total_banks: 8,
+            initial_banks: 8,
+            ..config(IdlePolicy::DisableAfter(10.0))
+        });
+        for p in 0..32u64 {
+            big.access(p, 0.0);
+        }
+        assert!(a.restore_state(&big.snapshot_state()).is_err());
     }
 
     #[test]

@@ -306,25 +306,6 @@ impl AccessLog {
         counters
     }
 
-    /// Distinct capacities (in pages) at which the predicted miss count
-    /// changes — the candidate sizes worth enumerating ("the size causing
-    /// different disk IOs", §IV-B). Always includes 0.
-    pub fn change_points(&self) -> Vec<u64> {
-        let mut positions: Vec<u64> = self
-            .entries
-            .iter()
-            .filter_map(|e| match e.distance {
-                StackDistance::Position(p) => Some(p),
-                StackDistance::Cold => None,
-            })
-            .collect();
-        positions.sort_unstable();
-        positions.dedup();
-        let mut out = vec![0];
-        out.extend(positions);
-        out
-    }
-
     /// Clears the log for the next period.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -436,23 +417,6 @@ mod tests {
         p.observe(1);
         p.reset();
         assert_eq!(p.observe(1), StackDistance::Cold);
-    }
-
-    #[test]
-    fn change_points_include_zero_and_are_sorted() {
-        let seq = [1u64, 2, 1, 3, 2, 1];
-        let mut profiler = StackProfiler::new();
-        let mut log = AccessLog::new();
-        for (i, &p) in seq.iter().enumerate() {
-            log.record(i as f64, p, profiler.observe(p));
-        }
-        let cps = log.change_points();
-        assert_eq!(cps[0], 0);
-        assert!(cps.windows(2).all(|w| w[0] < w[1]));
-        // Miss counts must differ across consecutive change points.
-        for w in cps.windows(2) {
-            assert!(log.misses_at(w[0]) > log.misses_at(w[1]));
-        }
     }
 
     #[test]

@@ -567,8 +567,9 @@ impl Engine {
         }
     }
 
-    /// Replays one trace record: pages are looked up in order, misses are
-    /// coalesced into contiguous runs (each becoming one disk request), and
+    /// Replays one trace record: pages are looked up in order and grouped
+    /// into maximal same-outcome runs, each dispatched as one
+    /// [`SimEvent::Access`]; a miss run becomes one disk request, and
     /// displaced dirty pages go back to the disk as background writes.
     fn replay_record(
         &mut self,
@@ -578,33 +579,19 @@ impl Engine {
     ) {
         let now = record.time;
         let write = record.kind == AccessKind::Write;
-        let mut run_start: Option<u64> = None;
-        let mut run_len = 0u64;
+        // The open run: first page, length, outcome.
+        let (mut first_page, mut pages, mut hit) = (record.first_page, 0, false);
         for page in record.page_range() {
-            let hit = hw.mem.access_rw(page, now, write);
-            if hit {
-                // Close the pending run first so a miss run's latency is
-                // recorded before the hit that ended it (observers rely on
-                // this order).
-                self.flush_run(&mut run_start, &mut run_len, now, hw, observers);
-            } else {
-                if run_start.is_none() {
-                    run_start = Some(page);
-                }
-                run_len += 1;
+            let page_hit = hw.mem.access_rw(page, now, write);
+            if pages > 0 && page_hit != hit {
+                self.close_run(first_page, pages, hit, record, hw, observers);
+                (first_page, pages) = (page, 0);
             }
-            self.dispatch(
-                &[SimEvent::Access {
-                    time: now,
-                    page,
-                    hit,
-                    write,
-                }],
-                hw,
-                observers,
-            );
+            hit = page_hit;
+            pages += 1;
         }
-        self.flush_run(&mut run_start, &mut run_len, now, hw, observers);
+        // Never empty: `step_record` drops zero-page records.
+        self.close_run(first_page, pages, hit, record, hw, observers);
         let writebacks = hw.mem.take_writebacks();
         if !writebacks.is_empty() {
             let events = hw.submit_writes(writebacks, now);
@@ -612,39 +599,51 @@ impl Engine {
         }
     }
 
-    /// Turns the pending miss run (if any) into one disk request.
-    fn flush_run(
+    /// Dispatches one same-outcome run of `record`'s pages. A miss run is
+    /// then submitted as one disk request, so its access event comes before
+    /// its `Miss` and `DiskRequest` and the next hit run's after them.
+    fn close_run(
         &mut self,
-        run_start: &mut Option<u64>,
-        run_len: &mut u64,
-        now: f64,
+        first_page: u64,
+        pages: u64,
+        hit: bool,
+        record: &TraceRecord,
         hw: &mut HwState,
         observers: &mut [&mut dyn SimObserver],
     ) {
-        if let Some(first) = run_start.take() {
-            let pages = *run_len;
-            *run_len = 0;
-            let outcome = hw.submit_request(now, first, pages);
-            self.dispatch(
-                &[
-                    SimEvent::Miss {
-                        time: now,
-                        first_page: first,
-                        pages,
-                    },
-                    SimEvent::DiskRequest {
-                        time: now,
-                        first_page: first,
-                        pages,
-                        latency: outcome.latency,
-                        woke_disk: outcome.woke_disk,
-                        user: true,
-                    },
-                ],
-                hw,
-                observers,
-            );
+        let time = record.time;
+        let access = SimEvent::Access {
+            time,
+            first_page,
+            pages,
+            hit,
+            write: record.kind == AccessKind::Write,
+        };
+        if hit {
+            self.dispatch(&[access], hw, observers);
+            return;
         }
+        let outcome = hw.submit_request(time, first_page, pages);
+        self.dispatch(
+            &[
+                access,
+                SimEvent::Miss {
+                    time,
+                    first_page,
+                    pages,
+                },
+                SimEvent::DiskRequest {
+                    time,
+                    first_page,
+                    pages,
+                    latency: outcome.latency,
+                    woke_disk: outcome.woke_disk,
+                    user: true,
+                },
+            ],
+            hw,
+            observers,
+        );
     }
 
     /// Delivers events to every observer and tallies them.
@@ -739,44 +738,59 @@ mod tests {
 
     #[test]
     fn events_follow_causal_order() {
-        // 4 misses coalesce into one run; the re-access hits.
+        // Pages 0, 1 miss as one run; page 3 misses alone; then a record
+        // over pages 0..4 hits 0 and 1, misses 2, and hits 3.
         let mut recorder = Recorder::default();
         let mut hw = hw();
         {
             let mut obs: [&mut dyn SimObserver; 1] = [&mut recorder];
             let stats = Engine::new().run(
-                &trace(vec![record(1.0, 0, 2), record(2.0, 0, 2)]),
+                &trace(vec![
+                    record(1.0, 0, 2),
+                    record(2.0, 3, 1),
+                    record(3.0, 0, 4),
+                ]),
                 10.0,
                 &mut hw,
                 &mut obs,
             );
-            assert_eq!(stats.counts.accesses, 4);
-            assert_eq!(stats.counts.misses, 1);
-            assert_eq!(stats.counts.disk_requests, 1);
+            assert_eq!(stats.counts.accesses, 7, "accesses count pages");
+            assert_eq!(stats.counts.access_runs, 5);
+            assert_eq!(stats.counts.misses, 3);
+            assert_eq!(stats.counts.disk_requests, 3);
             assert_eq!(stats.events_processed, stats.counts.total());
         }
-        // Miss pages arrive as Access{hit: false} then the coalesced
-        // Miss + DiskRequest pair, then the second record's hits.
-        let kinds: Vec<&'static str> = recorder
+        // A miss run's access event precedes its Miss + DiskRequest pair;
+        // a hit run's follows the request before it.
+        let kinds: Vec<String> = recorder
             .events
             .iter()
             .map(|e| match e {
-                SimEvent::Access { hit: true, .. } => "hit",
-                SimEvent::Access { hit: false, .. } => "miss-page",
-                SimEvent::Miss { .. } => "miss-run",
-                SimEvent::DiskRequest { .. } => "request",
-                _ => "other",
+                SimEvent::Access {
+                    first_page,
+                    pages,
+                    hit,
+                    ..
+                } => format!("{}@{first_page}x{pages}", if *hit { "hit" } else { "miss" }),
+                SimEvent::Miss { first_page, .. } => format!("run@{first_page}"),
+                SimEvent::DiskRequest { first_page, .. } => format!("request@{first_page}"),
+                _ => "other".into(),
             })
             .collect();
         assert_eq!(
             kinds,
-            vec![
-                "miss-page",
-                "miss-page",
-                "miss-run",
-                "request",
-                "hit",
-                "hit"
+            [
+                "miss@0x2",
+                "run@0",
+                "request@0",
+                "miss@3x1",
+                "run@3",
+                "request@3",
+                "hit@0x2",
+                "miss@2x1",
+                "run@2",
+                "request@2",
+                "hit@3x1",
             ]
         );
     }

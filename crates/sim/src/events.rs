@@ -10,13 +10,19 @@ use serde::{Deserialize, Serialize};
 /// reads of [`HwState`](crate::HwState) at dispatch time).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimEvent {
-    /// One page was looked up in the disk cache.
+    /// A run of consecutive pages of one record, all with the same outcome,
+    /// was looked up in the disk cache. A record yields one such event per
+    /// maximal run: a miss run's event precedes its [`SimEvent::Miss`] and
+    /// [`SimEvent::DiskRequest`], and a hit run's event follows the request
+    /// of the miss run before it.
     Access {
         /// Arrival time, s.
         time: f64,
-        /// The page looked up.
-        page: u64,
-        /// Whether the page was resident (no disk involvement).
+        /// First page of the run.
+        first_page: u64,
+        /// Length of the run, pages.
+        pages: u64,
+        /// Whether the pages were resident (no disk involvement).
         hit: bool,
         /// Whether the access was a write.
         write: bool,
@@ -85,11 +91,15 @@ impl SimEvent {
     }
 }
 
-/// Per-type event totals (engine observability).
+/// Per-type event totals (engine observability). Access events are counted
+/// twice: in pages (`accesses`) and in events (`access_runs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventCounts {
     /// Page lookups in the disk cache.
     pub accesses: u64,
+    /// [`SimEvent::Access`] events: same-outcome runs of looked-up pages.
+    #[serde(default)]
+    pub access_runs: u64,
     /// Coalesced miss runs.
     pub misses: u64,
     /// Disk requests (user runs + background flushes).
@@ -106,7 +116,10 @@ impl EventCounts {
     /// Tallies one event.
     pub fn record(&mut self, event: &SimEvent) {
         match event {
-            SimEvent::Access { .. } => self.accesses += 1,
+            SimEvent::Access { pages, .. } => {
+                self.accesses += pages;
+                self.access_runs += 1;
+            }
             SimEvent::Miss { .. } => self.misses += 1,
             SimEvent::DiskRequest { .. } => self.disk_requests += 1,
             SimEvent::Sync { .. } => self.syncs += 1,
@@ -115,9 +128,9 @@ impl EventCounts {
         }
     }
 
-    /// Total events across all types.
+    /// Total events across all types (access runs, not pages).
     pub fn total(&self) -> u64 {
-        self.accesses
+        self.access_runs
             + self.misses
             + self.disk_requests
             + self.syncs
@@ -135,7 +148,8 @@ mod tests {
         let mut c = EventCounts::default();
         c.record(&SimEvent::Access {
             time: 1.0,
-            page: 0,
+            first_page: 0,
+            pages: 4,
             hit: true,
             write: false,
         });
@@ -145,10 +159,11 @@ mod tests {
             pages: 3,
         });
         c.record(&SimEvent::WarmupEnd { time: 2.0 });
-        assert_eq!(c.accesses, 1);
+        assert_eq!(c.accesses, 4, "accesses count pages");
+        assert_eq!(c.access_runs, 1);
         assert_eq!(c.misses, 1);
         assert_eq!(c.warmup_ends, 1);
-        assert_eq!(c.total(), 3);
+        assert_eq!(c.total(), 3, "the total counts events");
     }
 
     #[test]

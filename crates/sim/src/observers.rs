@@ -418,7 +418,13 @@ impl SimObserver for LatencyTracker {
     fn on_event(&mut self, event: &SimEvent, _hw: &mut HwState) {
         match *event {
             SimEvent::WarmupEnd { .. } => self.measuring = true,
-            SimEvent::Access { hit: true, .. } if self.measuring => self.latency.push(0.0),
+            SimEvent::Access {
+                hit: true, pages, ..
+            } if self.measuring => {
+                for _ in 0..pages {
+                    self.latency.push(0.0);
+                }
+            }
             SimEvent::DiskRequest {
                 latency,
                 pages,
@@ -636,12 +642,12 @@ impl SimObserver for TelemetryObserver {
 
     fn on_event(&mut self, event: &SimEvent, hw: &mut HwState) {
         match *event {
-            SimEvent::Access { hit, .. } => {
-                self.accesses += 1;
-                self.c_accesses.inc();
+            SimEvent::Access { hit, pages, .. } => {
+                self.accesses += pages;
+                self.c_accesses.add(pages);
                 if hit {
-                    self.hits += 1;
-                    self.c_hits.inc();
+                    self.hits += pages;
+                    self.c_hits.add(pages);
                 }
             }
             SimEvent::Miss { .. } => {

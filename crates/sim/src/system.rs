@@ -668,16 +668,73 @@ mod tests {
             400.0,
             "test",
         );
-        assert_eq!(report.engine.counts.accesses, 10);
-        assert_eq!(report.engine.counts.misses, 2);
-        assert_eq!(report.engine.counts.disk_requests, 2);
-        assert_eq!(report.engine.counts.period_boundaries, 0);
-        assert_eq!(report.engine.events_processed, report.engine.counts.total());
+        let counts = report.engine.counts;
+        // Accesses are counted in pages, dispatches in events: each record
+        // here is one same-outcome run (4 misses, 4 hits, 2 misses).
+        assert_eq!(counts.accesses, report.cache_accesses);
+        assert_eq!(counts.accesses, 10);
+        assert_eq!(counts.access_runs, 3);
+        assert_eq!(counts.misses, 2);
+        assert_eq!(counts.disk_requests, 2);
+        assert_eq!(counts.period_boundaries, 0);
+        assert_eq!(
+            report.engine.events_processed,
+            counts.access_runs
+                + counts.misses
+                + counts.disk_requests
+                + counts.syncs
+                + counts.warmup_ends
+                + counts.period_boundaries
+        );
+        assert_eq!(report.engine.events_processed, counts.total());
         assert!(report.engine.replay_wall_secs > 0.0);
         assert!(report.engine.accesses_per_sec > 0.0);
         // One trailing partial-period row in the event log.
         assert_eq!(report.engine.period_log.len(), 1);
         assert_eq!(report.engine.period_log[0].end, 400.0);
+    }
+
+    #[test]
+    fn dispatches_stay_within_two_per_record() {
+        // A cache larger than the data set: after the cold misses nearly
+        // every record is one hit run, however many pages it spans.
+        let mut config = SimConfig::with_mem(MemConfig {
+            bank_pages: 64,
+            total_banks: 32,
+            initial_banks: 32,
+            ..mem_config(8)
+        });
+        config.sync_interval_secs = 30.0;
+        let trace = jpmd_trace::WorkloadBuilder::new()
+            .data_set_bytes(1 << 30)
+            .rate_bytes_per_sec(8 << 20)
+            .popularity(0.1)
+            .write_fraction(0.1)
+            .duration_secs(3600.0)
+            .seed(5)
+            .build()
+            .expect("workload generation");
+        let report = run_simulation(
+            &config,
+            SpinDownPolicy::AlwaysOn,
+            &mut NullController,
+            &trace,
+            3600.0,
+            "dispatch",
+        );
+        let engine = &report.engine;
+        assert!(
+            engine.counts.accesses >= 4 * engine.records_pulled,
+            "records must span several pages: {} pages over {} records",
+            engine.counts.accesses,
+            engine.records_pulled
+        );
+        assert!(
+            engine.events_processed <= 2 * engine.records_pulled,
+            "{} events for {} records",
+            engine.events_processed,
+            engine.records_pulled
+        );
     }
 
     #[test]
